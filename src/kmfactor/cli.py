@@ -118,8 +118,13 @@ def _parse_node(cm: CartanMatrix, value, pointer) -> int:
 
 
 def _parse_nodes(cm, value, pointer) -> list[int]:
-    return [_parse_node(cm, v, f"{pointer}/{i}")
-            for i, v in enumerate(_array(value, pointer))]
+    nodes: list[int] = []
+    for i, v in enumerate(_array(value, pointer)):
+        node = _parse_node(cm, v, f"{pointer}/{i}")
+        if node in nodes:
+            raise SchemaError(f"{pointer}/{i}", f"node {cm.label(node)!r} is repeated")
+        nodes.append(node)
+    return nodes
 
 
 def _parse_index(cm, obj, pointer) -> PVIndex:
@@ -398,6 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError("/", f"duplicate object key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load_payload(args):
     if args.command == "selftest" and args.input is None:
         return {}
@@ -412,7 +426,7 @@ def _load_payload(args):
         except OSError as exc:
             raise SchemaError("/", f"cannot read input: {exc}") from None
     try:
-        payload = json.loads(raw)
+        payload = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}") from None
     return _object(payload, "/")

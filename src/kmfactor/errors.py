@@ -44,7 +44,11 @@ class CapMismatch(DomainError):
 
 
 class ConstantTermNotOne(DomainError):
-    """log/inverse requires a series with constant term 1."""
+    """log and inverse need a series, and division a divisor, with constant term 1."""
+
+
+class TermLimit(DomainError):
+    """A dense log, inverse or quotient would exceed the term budget."""
 
 
 # -- Weyl orbit enumeration ----------------------------------------------------

@@ -172,10 +172,9 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
             data = ctx.lift_data(nodes)
         except NoLift as exc:
             raise NotEquiconnectedCandidate(str(exc)) from exc
-        if not data.equiconnected:
+        if data.lean_counts is None:
             raise NotEquiconnectedCandidate(
                 f"class union {list(nodes)} of candidate {gamma} is not equiconnected")
-        assert data.lean_counts is not None
         class_pairings: dict[int, int] = {}
         for c, m in zip(data.class_indices, data.lean_counts):
             value = gamma[c]

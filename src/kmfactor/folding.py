@@ -183,9 +183,13 @@ class LiftData:
 
     lifts: tuple[tuple[int, ...], ...]
     lean: tuple[tuple[int, ...], ...]
-    equiconnected: bool
     class_indices: tuple[int, ...]          # classes making up the union
     lean_counts: tuple[int, ...] | None     # |lean lift ∩ class|, aligned
+
+    @property
+    def equiconnected(self) -> bool:
+        """Some lift is lean exactly when lean counts exist."""
+        return self.lean_counts is not None
 
 
 class FoldContext:
@@ -244,7 +248,7 @@ class FoldContext:
         ordered = sorted(tuple(sorted(s)) for s in minimal)
         lean = sorted(tuple(sorted(s)) for s, v in zip(minimal, vectors) if v == meet)
         return LiftData(tuple(ordered), tuple(lean) if equi else (),
-                        equi, tuple(class_indices), meet if equi else None)
+                        tuple(class_indices), meet if equi else None)
 
     def lean_lifts(self, nodes: Iterable[int]):
         """Inclusion-minimal lifts, the lean ones among them, and the verdict."""
@@ -271,11 +275,10 @@ class FoldContext:
         """
         self.check_symmetric(pv)
         data = self.lift_data(pv.nodes)
-        if not data.equiconnected:
+        if data.lean_counts is None:
             raise NotEquiconnected(f"{list(pv.nodes)} is not equiconnected")
         lam = pv.as_map()
         out = [0] * self.partition.num_classes
-        assert data.lean_counts is not None
         for c, count in zip(data.class_indices, data.lean_counts):
             node = self.partition.classes[c][0]
             out[c] = count * (lam[node] + 1)

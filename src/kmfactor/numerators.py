@@ -51,12 +51,6 @@ class CharacterValue:
     body: Series
 
 
-@lru_cache(maxsize=None)
-def _full_denominator_inverse(cm: CartanMatrix, cap: int) -> Series:
-    full = PVIndex(cm.nodes(), (0,) * cm.n)
-    return normalized_numerator(cm, full, cap).invert()
-
-
 def character(cm: CartanMatrix, pv: PVIndex, offset, cap: int) -> CharacterValue:
     """Normalized parabolic Verma character: numerator over the full-set one.
 
@@ -64,7 +58,8 @@ def character(cm: CartanMatrix, pv: PVIndex, offset, cap: int) -> CharacterValue
     that is negative or non-integral is a bug and raises rather than being
     dropped.
     """
-    body = normalized_numerator(cm, pv, cap) * _full_denominator_inverse(cm, cap)
+    full = PVIndex(cm.nodes(), (0,) * cm.n)
+    body = normalized_numerator(cm, pv, cap).divide(normalized_numerator(cm, full, cap))
     for exp, c in body.items():
         if c.denominator != 1 or c < 0:
             raise NonIntegralCharacter(f"coefficient {c} at exponent {exp}")

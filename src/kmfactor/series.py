@@ -6,24 +6,52 @@ every exponent is a tuple of nonnegative integers with total degree at most
 ``cap``.  Zero coefficients are never stored, so equality is exact term-map
 equality.  The intended reading throughout the package is x_i = exp(-a_i)
 for the i-th simple root a_i, which is why only nonnegative exponents exist.
+Coefficients must be ``int`` or ``Fraction``; anything else, floats
+included, is refused rather than converted.
 
 All operations are pure, truncate at the common cap, and iterate terms in a
 fixed order (ascending total degree, then lexicographic on coordinates), so
 results are deterministic.
+
+Products, logarithms, inverses and exact quotients share one kernel:
+
+* Packed keys.  With radix R = cap+1 an exponent e becomes the integer
+  deg(e)*R^n + sum_i e_i*R^(n-i).  Below the cap no coordinate reaches R,
+  so adding keys adds exponents without carries, key order is term order,
+  and a sum of keys exceeds the cap exactly when it reaches R^(n+1).
+* Integer coefficients.  Operands are scaled to Python ints over one
+  common denominator, and Fractions are built once per output term.  For
+  the recurrences a unit 1+u with denominators is first rescaled by x -> Dx,
+  which makes every coefficient of u an integer.
+* One scatter recurrence.  ``log1``, ``invert`` and ``divide`` finish the
+  result degree by degree; each finished nonzero term v_a adds w*v_a*u_g
+  into the slot of a+g for every term u_g of the divisor, so only pairs of
+  nonzero terms are visited.  For the logarithm w = deg(a) (the
+  log-derivative recurrence of Brent and Kung) and the slots are scaled by
+  lcm(1..cap), which keeps every division by a degree exact.
+* Work budget.  Those three produce dense output, so they refuse up front,
+  with :class:`TermLimit`, any job whose possible terms, C(cap+m, m) over
+  the m variables the operands use, exceed ``_DENSE_TERM_LIMIT``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapMismatch, ConstantTermNotOne, DomainError
+from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
 
 Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Most terms log1/invert/divide may have to build.  A dense 91390-term inverse
+# peaks at about 34 MB; the largest job in the tests and the benchmark has
+# 10626 terms.
+_DENSE_TERM_LIMIT = 100_000
 
 
 def degree(exponent: Sequence[int]) -> int:
@@ -51,6 +79,12 @@ def _check_exponent(exponent, nvars: int) -> Exponent:
     return exp
 
 
+def _coefficient(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise DomainError(f"coefficient {value!r} is not an int or a Fraction")
+    return Fraction(value)
+
+
 class Series:
     """Immutable sparse truncated series; see the module docstring."""
 
@@ -70,7 +104,7 @@ class Series:
             exp = _check_exponent(exponent, nvars)
             if sum(exp) > cap:
                 continue  # truncation is silent by contract
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             if c:
                 acc = clean.get(exp, _ZERO) + c
                 if acc:
@@ -162,7 +196,7 @@ class Series:
                          {e: -c for e, c in self._terms.items()})
 
     def scale(self, coeff) -> "Series":
-        c = Fraction(coeff)
+        c = _coefficient(coeff)
         if not c:
             return Series.zero(self.nvars, self.cap)
         return self._raw(self.nvars, self.cap,
@@ -174,21 +208,18 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        a = sorted(((sum(e), e, c) for e, c in self._terms.items()))
-        b = sorted(((sum(e), e, c) for e, c in other._terms.items()))
-        out: dict[Exponent, Fraction] = {}
-        for da, ea, ca in a:
-            room = self.cap - da
-            for db, eb, cb in b:
-                if db > room:
+        weights, _, limit = _packing(self.nvars, self.cap)
+        da, a = _packed(self._terms, weights)
+        db, b = _packed(other._terms, weights)
+        out: dict[int, int] = {}
+        for ka, ca in a:
+            room = limit - ka
+            for kb, cb in b:
+                if kb >= room:
                     break
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(key, _ZERO) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return self._raw(self.nvars, self.cap, out)
+                k = ka + kb
+                out[k] = out.get(k, 0) + ca * cb
+        return self._unpacked(out, da * db)
 
     __rmul__ = __mul__
 
@@ -201,52 +232,92 @@ class Series:
         object.__setattr__(s, "_terms", terms)
         return s
 
+    def _unpacked(self, packed: dict[int, int], den: int, grade: int = 1) -> "Series":
+        """Series of packed int coefficients over ``den * grade**degree``.
+
+        Terms are stored in term order, which later sorts find presorted.
+        """
+        nvars, radix = self.nvars, self.cap + 1
+        terms: dict[Exponent, Fraction] = {}
+        for key, v in sorted(packed.items()):
+            if v:
+                exp = [0] * nvars
+                for i in range(nvars - 1, -1, -1):
+                    key, exp[i] = divmod(key, radix)
+                d = den if grade == 1 else den * grade ** key  # key is now the degree
+                terms[tuple(exp)] = Fraction(v) if d == 1 else Fraction(v, d)
+        return self._raw(nvars, self.cap, terms)
+
     # -- series functions ---------------------------------------------------
 
     def log1(self) -> "Series":
         """Logarithm of a series with constant term 1.
 
-        Computed by the graded-derivation recurrence, which needs one
-        convolution pass instead of cap-many multiplications.  When the
-        input has integer coefficients the whole recurrence runs over
-        integers scaled by lcm(1..cap) and is converted at the end.
+        For integer u the coefficients of log(1+u) up to degree cap have
+        denominators dividing lcm(1..cap), so the recurrence runs on slots
+        scaled by it; a division by a degree that leaves a remainder raises
+        ``ArithmeticError``.
         """
-        if self.constant_term != _ONE:
-            raise ConstantTermNotOne(f"constant term is {self.constant_term}, expected 1")
-        u = {e: c for e, c in self._terms.items() if any(e)}
-        if not u or self.cap == 0:
-            return Series.zero(self.nvars, self.cap)
-        if all(c.denominator == 1 for c in u.values()):
-            terms = _log_terms_int({e: c.numerator for e, c in u.items()},
-                                   self.nvars, self.cap)
-        else:
-            terms = _log_terms(u, self.nvars, self.cap)
-        return self._raw(self.nvars, self.cap, terms)
+        return self._recurrence(None)
 
     def invert(self) -> "Series":
         """Multiplicative inverse of a series with constant term 1."""
+        return Series.one(self.nvars, self.cap).divide(self)
+
+    def divide(self, den: "Series") -> "Series":
+        """Exact quotient ``self / den`` of a divisor with constant term 1."""
+        self._check_compatible(den)
+        return den._recurrence(self)
+
+    def _recurrence(self, num: "Series | None") -> "Series":
+        """``num / self``, or ``log(self)`` when ``num`` is None; see the module doc."""
         if self.constant_term != _ONE:
             raise ConstantTermNotOne(f"constant term is {self.constant_term}, expected 1")
-        u = [(sum(e), e, c) for e, c in self._terms.items() if any(e)]
-        u.sort()
-        zero = (0,) * self.nvars
-        out: dict[Exponent, Fraction] = {zero: _ONE}
-        for a in _reachable([e for _, e, _ in u], self.nvars, self.cap):
-            if not any(a):
-                continue
-            acc = _ZERO
-            for dg, g, cg in u:
-                if dg > sum(a):
-                    break
-                b = _sub_exponent(a, g)
-                if b is None:
+        nvars, cap = self.nvars, self.cap
+        u = {e: c for e, c in self._terms.items() if any(e)}
+        if not u:
+            return Series.zero(nvars, cap) if num is None else num
+        exps = [*u, *(() if num is None else num._terms)]
+        used = sum(1 for column in zip(*exps) if any(column))
+        if math.comb(cap + used, used) > _DENSE_TERM_LIMIT:
+            raise TermLimit(f"up to C({cap}+{used}, {used}) terms exceed the "
+                            f"budget of {_DENSE_TERM_LIMIT}")
+        weights, top, _ = _packing(nvars, cap)
+        grade, unit = _packed(u, weights)
+        unit = [(k, c * grade ** (k // top - 1)) for k, c in unit]  # x -> grade*x
+        buckets: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+        if num is None:  # slot a starts at deg(a) * lcm(1..cap) * u_a
+            den = math.lcm(*range(1, cap + 1))
+            for k, c in unit:
+                buckets[k // top][k] = (k // top) * den * c
+        else:
+            den, packed = _packed(num._terms, weights)
+            for k, c in packed:
+                buckets[k // top][k] = c * grade ** (k // top)
+        groups: list[tuple[int, list[tuple[int, int]]]] = []  # unit terms by degree
+        for k, c in unit:
+            if not groups or groups[-1][0] != k // top:
+                groups.append((k // top, []))
+            groups[-1][1].append((k, c))
+        out: dict[int, int] = {}
+        for d, bucket in enumerate(buckets):
+            for ka, v in bucket.items():
+                if num is None:
+                    v, r = divmod(v, d)
+                    if r:
+                        raise ArithmeticError("log recurrence lost exactness")
+                if not v:
                     continue
-                vb = out.get(b)
-                if vb:
-                    acc += vb * cg
-            if acc:
-                out[a] = -acc
-        return self._raw(self.nvars, self.cap, out)
+                out[ka] = v
+                w = d * v if num is None else v
+                for e, group in groups:
+                    if d + e > cap:
+                        break
+                    target = buckets[d + e]
+                    for kg, cg in group:
+                        k = ka + kg
+                        target[k] = target.get(k, 0) - w * cg
+        return self._unpacked(out, den, grade)
 
     def fold(self, classes: Iterable[Iterable[int]]) -> "Series":
         """Collapse variables along a partition of 1..nvars.
@@ -297,94 +368,16 @@ class Series:
         return " ".join(chunks)
 
 
-def _sub_exponent(a: Exponent, b: Exponent) -> Exponent | None:
-    """Componentwise difference, or None if any coordinate would go negative."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+def _packing(nvars: int, cap: int) -> tuple[list[int], int, int]:
+    """Key weights of the coordinates, R^n and the first key above the cap."""
+    radix = cap + 1
+    top = radix ** nvars
+    return [top + radix ** (nvars - 1 - i) for i in range(nvars)], top, top * radix
 
 
-def _reachable(gens: Sequence[Exponent], nvars: int, cap: int) -> list[Exponent]:
-    """Degree-capped monoid closure of the generators, in canonical order.
-
-    Every exponent of a product/log/inverse built from terms with these
-    exponents lies in the closure, so recurrences only need to visit it.
-    """
-    zero = (0,) * nvars
-    by_degree: list[list[Exponent]] = [[] for _ in range(cap + 1)]
-    by_degree[0].append(zero)
-    seen = {zero}
-    for d in range(cap + 1):
-        for a in by_degree[d]:
-            for g in gens:
-                nd = d + sum(g)
-                if nd > cap:
-                    continue
-                s = tuple(x + y for x, y in zip(a, g))
-                if s not in seen:
-                    seen.add(s)
-                    by_degree[nd].append(s)
-    out: list[Exponent] = []
-    for bucket in by_degree:
-        out.extend(sorted(bucket))
-    return out
-
-
-def _log_terms(u: dict[Exponent, Fraction], nvars: int, cap: int) -> dict[Exponent, Fraction]:
-    """Graded-derivation recurrence for log(1+u) over Fractions."""
-    items = sorted(((sum(e), e, c) for e, c in u.items()))
-    out: dict[Exponent, Fraction] = {}
-    for a in _reachable([e for _, e, _ in items], nvars, cap):
-        da = sum(a)
-        if da == 0:
-            continue
-        acc = _ZERO
-        for dg, g, cg in items:
-            if dg > da:
-                break
-            b = _sub_exponent(a, g)
-            if b is None:
-                continue
-            wb = out.get(b)
-            if wb:
-                acc += (da - dg) * wb * cg
-        val = u.get(a, _ZERO) - acc / da
-        if val:
-            out[a] = val
-    return out
-
-
-def _log_terms_int(u: dict[Exponent, int], nvars: int, cap: int) -> dict[Exponent, Fraction]:
-    """Integer fast path: coefficients of log(1+u) scaled by lcm(1..cap).
-
-    For integer u every coefficient of log(1+u) up to degree cap has
-    denominator dividing lcm(1..cap), so the scaled recurrence is exact
-    integer arithmetic; the degree division is checked to be exact.
-    """
-    scale = math.lcm(*range(1, cap + 1))
-    items = sorted(((sum(e), e, c) for e, c in u.items()))
-    scaled: dict[Exponent, int] = {}
-    for a in _reachable([e for _, e, _ in items], nvars, cap):
-        da = sum(a)
-        if da == 0:
-            continue
-        acc = 0
-        for dg, g, cg in items:
-            if dg > da:
-                break
-            b = _sub_exponent(a, g)
-            if b is None:
-                continue
-            wb = scaled.get(b)
-            if wb:
-                acc += (da - dg) * wb * cg
-        q, r = divmod(acc, da)
-        if r:
-            raise ArithmeticError("log recurrence lost exactness on integer input")
-        val = scale * u.get(a, 0) - q
-        if val:
-            scaled[a] = val
-    return {a: Fraction(v, scale) for a, v in scaled.items()}
+def _packed(terms: dict[Exponent, Fraction],
+            weights: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """Common denominator and the (key, numerator) pairs in term order."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, sorted((sum(map(mul, e, weights)), c.numerator * (den // c.denominator))
+                       for e, c in terms.items())

@@ -121,8 +121,8 @@ def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> tuple[tuple[tuple[int, ..
                 continue
             nvalues = tuple(values[q] - v * rows[q][p] for q in range(k))
             prior = offset_of.get(nvalues)
-            assert prior is None or prior == noffset, \
-                "pairing-vector key collision in orbit enumeration"
+            if prior is not None and prior != noffset:
+                raise RuntimeError("pairing-vector key collision in orbit enumeration")
             offset_of[nvalues] = noffset
             seen.add(noffset)
             out.append((noffset, -sign))

@@ -184,6 +184,7 @@ def test_schema_error_pointers(capsys, tmp_path):
         ({"gcm": A2, "degree": 3, "series": {"terms": [[[1], "1"]]}},
          "factor", "/series/terms/0/0"),
         ({"gcm": A2, "classes": [[1], [1, 2]]}, "orbits", "/classes"),
+        ({"gcm": A2, "classes": [[1, 1], [2]]}, "orbits", "/classes/0/1"),
     ]
     for payload, command, pointer in cases:
         code, out = run(capsys, tmp_path, command, payload)
@@ -191,6 +192,31 @@ def test_schema_error_pointers(capsys, tmp_path):
         doc = json.loads(out)
         assert doc["error"]["type"] == "SchemaError"
         assert doc["error"]["pointer"] == pointer
+
+
+def test_repeated_node_rejected(capsys, tmp_path):
+    payload = {"gcm": A2, "degree": 3, "I": [1, 1], "lam": {"1": 0}}
+    code, out = run(capsys, tmp_path, "numerator", payload)
+    assert code == 2
+    assert json.loads(out)["error"]["pointer"] == "/I/1"
+
+
+def test_duplicate_json_key_rejected(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text('{"gcm": {"matrix": [[2, -1], [-1, 2]]}, "degree": 3, '
+                    '"I": [1], "lam": {"1": 0, "1": 2}}')
+    code = main(["numerator", "--input", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["error"]["type"] == "SchemaError"
+    assert "'1'" in doc["error"]["message"]
+
+
+def test_huge_degree_refused_up_front(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "multiplicities", {"gcm": A2},
+                    "--degree", str(10**9))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "TermLimit"
 
 
 def test_missing_input_and_bad_json(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmfactor.errors import CapMismatch, ConstantTermNotOne, DomainError
+from kmfactor.errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
 from kmfactor.series import Series, degree, support
 from oracles import naive_invert, naive_log1, naive_mul
 
@@ -47,6 +47,14 @@ def test_bad_exponents_rejected():
         series(2, 3, {(1,): 1})
     with pytest.raises(DomainError):
         series(2, 3, {(-1, 0): 1})
+
+
+def test_inexact_coefficients_rejected():
+    for bad in (0.1, 1.0, "1/2", None, True, complex(1, 0)):
+        with pytest.raises(DomainError):
+            series(1, 2, {(1,): bad})
+    with pytest.raises(DomainError):
+        series(1, 2, {(1,): 1}).scale(0.5)
 
 
 def test_term_order_and_text():
@@ -170,6 +178,76 @@ def test_invert_two_sided(a):
     assert a * inv == Series.one(a.nvars, a.cap)
     assert inv * a == Series.one(a.nvars, a.cap)
     assert inv == naive_invert(a)
+
+
+# -- exact division -----------------------------------------------------------------
+
+def test_divide_a2_numerator():
+    # (1 - x1) / ((1-x1)(1-x2)(1-x1x2)) = 1 / ((1-x2)(1-x1x2))
+    num = series(2, 6, {(0, 0): 1, (1, 0): -1})
+    want = (Series.one(2, 6) - Series.monomial(2, 6, (0, 1))) \
+        * (Series.one(2, 6) - Series.monomial(2, 6, (1, 1)))
+    assert num.divide(series(2, 6, A2_PRODUCT)) == want.invert()
+
+
+def test_divide_requires_unit_and_matching_caps():
+    with pytest.raises(ConstantTermNotOne):
+        Series.one(1, 3).divide(series(1, 3, {(0,): 2}))
+    with pytest.raises(CapMismatch):
+        Series.one(1, 3).divide(Series.one(1, 4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(series_strategy(), series_strategy(unit=True))
+def test_divide_matches_naive(a, b):
+    quotient = a.divide(b)
+    assert quotient == naive_mul(a, naive_invert(b))
+    assert naive_mul(quotient, b) == a
+
+
+def non_integer_unit(nvars=2, cap=4):
+    """Units with at least one coefficient that is not an integer."""
+    exps = st.tuples(*(st.integers(0, cap) for _ in range(nvars))).filter(
+        lambda e: 0 < sum(e) <= cap)
+    fractional = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
+        lambda c: c.denominator > 1)
+
+    def build(t):
+        terms, exp, c = t
+        return Series(nvars, cap, {**terms, exp: c, (0,) * nvars: 1})
+
+    return st.tuples(st.dictionaries(exps, coeffs, max_size=5), exps, fractional).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_integer_unit())
+def test_log_and_invert_rational_match_naive(a):
+    assert any(c.denominator > 1 for _, c in a.items())
+    assert a.log1() == naive_log1(a)
+    assert a.invert() == naive_invert(a)
+
+
+@pytest.mark.parametrize("nvars,cap", [(0, 0), (0, 3), (2, 0), (2, 1), (3, 1)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_kernel_edge_shapes(nvars, cap, data):
+    a = data.draw(series_strategy(nvars, cap))
+    b = data.draw(series_strategy(nvars, cap, unit=True))
+    assert a * b == naive_mul(a, b)
+    assert b.log1() == naive_log1(b)
+    assert b.invert() == naive_invert(b)
+    assert a.divide(b) == naive_mul(a, naive_invert(b))
+
+
+def test_dense_work_budget():
+    huge = series(1, 10**9, {(0,): 1, (1,): -1})
+    for op in (huge.log1, huge.invert, lambda: huge.divide(huge)):
+        with pytest.raises(TermLimit):
+            op()
+    assert (huge * huge).coefficient((2,)) == 1  # products are bounded by their inputs
+    # the budget counts only the variables the operands use
+    sparse = series(40, 20, {(0,) * 40: 1, (1,) + (0,) * 39: -1})
+    assert len(sparse.invert()) == 21
 
 
 # -- fold --------------------------------------------------------------------------------
