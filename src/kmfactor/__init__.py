@@ -31,7 +31,6 @@ from .numerators import (
     marker_exponent,
     root_multiplicities,
 )
-from .order import dominates, equivalent, maximal_indices
 from .series import Series, degree, support
 from .weyl import OrbitTerm, PVIndex, normalized_numerator, orbit_terms
 

@@ -15,17 +15,13 @@ affine algebra, pass the underlying diagram automorphism that fixes the
 affine node: the twisted and untwisted automorphisms restrict identically
 to the Cartan subalgebra, so they induce the same node partition and the
 same folded computation.
-
-The KMF_THREADS environment variable caps internal parallelism; the current
-implementation is single-threaded, so any positive value is accepted and
-results never depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -297,46 +293,28 @@ def _cmd_lean_lifts(args, payload):
     return doc, text
 
 
-def _cmd_factor(args, payload):
+def _cmd_factor(args, payload, folded=False):
     cm = _parse_gcm(payload)
     cap = _degree_of(args, payload)
+    if folded:
+        ctx = FoldContext(cm, _parse_partition(cm, payload))
+        nvars, term = ctx.partition.num_classes, ctx.fold_log_numerator
+    else:
+        nvars, term = cm.n, functools.partial(log_numerator, cm)
     if "log_sum_of" in payload:
         entries = _array(payload["log_sum_of"], "/log_sum_of")
-        total = Series.zero(cm.n, cap)
+        total = Series.zero(nvars, cap)
         for i, entry in enumerate(entries):
             pv = _parse_index(cm, entry, f"/log_sum_of/{i}")
+            if folded:
+                ctx.check_symmetric(pv)
             _require_marker_fits(cm, pv, cap)
-            total = total + log_numerator(cm, pv, cap)
+            total = total + term(pv, cap)
     elif "series" in payload:
-        total = _parse_series(payload["series"], cm.n, cap, "/series")
+        total = _parse_series(payload["series"], nvars, cap, "/series")
     else:
         raise SchemaError("/", "expected 'log_sum_of' or 'series'")
-    result = peel_log_sum(cm, total)
-    doc = _result_doc(cm, result)
-    text = "\n".join(
-        "I={%s} lam=%s" % (",".join(f["I"]), ",".join(str(f["lam"][k]) for k in f["I"]))
-        for f in doc["factors"]) or "(no factors)"
-    return doc, text
-
-
-def _cmd_factor_folded(args, payload):
-    cm = _parse_gcm(payload)
-    cap = _degree_of(args, payload)
-    partition = _parse_partition(cm, payload)
-    ctx = FoldContext(cm, partition)
-    if "log_sum_of" in payload:
-        entries = _array(payload["log_sum_of"], "/log_sum_of")
-        total = Series.zero(partition.num_classes, cap)
-        for i, entry in enumerate(entries):
-            pv = _parse_index(cm, entry, f"/log_sum_of/{i}")
-            ctx.check_symmetric(pv)
-            _require_marker_fits(cm, pv, cap)
-            total = total + ctx.fold_log_numerator(pv, cap)
-    elif "series" in payload:
-        total = _parse_series(payload["series"], partition.num_classes, cap, "/series")
-    else:
-        raise SchemaError("/", "expected 'log_sum_of' or 'series'")
-    result = peel_folded(ctx, total)
+    result = peel_folded(ctx, total) if folded else peel_log_sum(cm, total)
     doc = _result_doc(cm, result)
     text = "\n".join(
         "I={%s} lam=%s" % (",".join(f["I"]), ",".join(str(f["lam"][k]) for k in f["I"]))
@@ -381,7 +359,7 @@ _COMMANDS = {
     "transversal": _cmd_transversal,
     "lean-lifts": _cmd_lean_lifts,
     "factor": _cmd_factor,
-    "factor-folded": _cmd_factor_folded,
+    "factor-folded": functools.partial(_cmd_factor, folded=True),
     "verify": _cmd_verify,
     "selftest": _cmd_selftest,
 }
@@ -441,16 +419,6 @@ def _emit(doc, mode: str, text: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("KMF_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            _emit({"error": {"type": "SchemaError",
-                             "message": f"KMF_THREADS must be a positive integer, got {threads!r}"}},
-                  "json", None)
-            return 2
     try:
         payload = _load_payload(args)
         doc, text = _COMMANDS[args.command](args, payload)

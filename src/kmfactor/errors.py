@@ -48,7 +48,7 @@ class ConstantTermNotOne(DomainError):
 
 
 class TermLimit(DomainError):
-    """A dense log, inverse or quotient would exceed the term budget."""
+    """A dense log, inverse, quotient or Weyl orbit would exceed the term budget."""
 
 
 # -- Weyl orbit enumeration ----------------------------------------------------
@@ -65,12 +65,6 @@ class NonIntegralCharacter(DomainError):
 
 class NonIntegralMultiplicity(DomainError):
     """An extracted root multiplicity is not a nonnegative integer."""
-
-
-# -- Ordering ------------------------------------------------------------------
-
-class EmptyList(DomainError):
-    """Maximal-element selection needs a nonempty list."""
 
 
 # -- Folding -------------------------------------------------------------------
@@ -100,7 +94,8 @@ class NotEquiconnected(DomainError):
 
 
 class SizeLimit(DomainError):
-    """Exhaustive lift enumeration is capped at 16 nodes."""
+    """A node set exceeds an exhaustive enumeration's cap: 16 nodes for
+    lifts, 12 for the leading-coefficient closed form."""
 
 
 # -- Factorization -------------------------------------------------------------
@@ -112,11 +107,6 @@ class NegativeLeadingCoefficient(DomainError):
 
 class DisconnectedCandidateSupport(DomainError):
     """A peeled candidate exponent has disconnected support."""
-
-
-class NonIntegralWeight(DomainError):
-    """A peeled candidate yields a pairing below zero (guard; unreachable
-    for exponents with full support)."""
 
 
 class NonzeroResidual(DomainError):

@@ -13,9 +13,10 @@ the same loop in class variables, decoding markers through lean-lift counts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cartan import CartanMatrix, is_connected
 from .errors import (
@@ -25,7 +26,6 @@ from .errors import (
     LengthMismatch,
     NegativeLeadingCoefficient,
     NoLift,
-    NonIntegralWeight,
     NonzeroResidual,
     NotEquiconnectedCandidate,
     TooManyFactors,
@@ -71,19 +71,10 @@ def _select_candidate(residual: Series) -> tuple[int, ...]:
     return min(minimal)
 
 
-def peel_log_sum(cm: CartanMatrix, total: Series) -> FactorizationResult:
-    """Recover the factor multiset from a sum of log-numerators.
-
-    Iterates: pick the candidate exponent, require a positive coefficient
-    and connected support, read off the factor (support as node set,
-    coordinate minus one as pairing), subtract its log-numerator, repeat.
-    At most cap factors can contribute below the cap, so the iteration
-    count is bounded by the cap on any input.
-    """
-    if total.nvars != cm.n:
-        raise DomainError(f"series has {total.nvars} variables, matrix has {cm.n} nodes")
-    if total.constant_term:
-        raise DomainError("a sum of log-numerators has zero constant term")
+def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResult:
+    """The one peel loop: ``decode`` reads a factor off each positive
+    candidate and ``term(factor, cap)`` is subtracted.  At most cap factors
+    contribute below the cap, so the loop runs at most cap times."""
     cap = total.cap
     residual = total
     factors: list[PVIndex] = []
@@ -91,20 +82,35 @@ def peel_log_sum(cm: CartanMatrix, total: Series) -> FactorizationResult:
         if len(factors) >= cap:
             raise NonzeroResidual(
                 f"residual persists after {len(factors)} factors at cap {cap}")
-        beta = _select_candidate(residual)
-        coeff = residual.coefficient(beta)
+        candidate = _select_candidate(residual)
+        coeff = residual.coefficient(candidate)
         if coeff <= 0:
             raise NegativeLeadingCoefficient(
-                f"coefficient {coeff} at candidate {beta}")
+                f"coefficient {coeff} at candidate {candidate}")
+        pv = decode(candidate)
+        residual = residual - term(pv, cap)
+        factors.append(pv)
+    return FactorizationResult(tuple(factors), 0, True, cap)
+
+
+def peel_log_sum(cm: CartanMatrix, total: Series) -> FactorizationResult:
+    """Recover the factor multiset from a sum of log-numerators.
+
+    Runs :func:`_peel`; a candidate must have connected support, which is
+    the factor's node set, and its coordinates minus one are the pairings.
+    """
+    if total.nvars != cm.n:
+        raise DomainError(f"series has {total.nvars} variables, matrix has {cm.n} nodes")
+    if total.constant_term:
+        raise DomainError("a sum of log-numerators has zero constant term")
+
+    def decode(beta: tuple[int, ...]) -> PVIndex:
         nodes = support(beta)
         if not is_connected(cm, nodes):
             raise DisconnectedCandidateSupport(f"candidate {beta} has support {list(nodes)}")
-        if any(beta[i - 1] < 1 for i in nodes):
-            raise NonIntegralWeight(f"candidate {beta} has a coordinate below 1")
-        pv = PVIndex(nodes, tuple(beta[i - 1] - 1 for i in nodes))
-        residual = residual - log_numerator(cm, pv, cap)
-        factors.append(pv)
-    return FactorizationResult(tuple(factors), 0, True, cap)
+        return PVIndex(nodes, tuple(beta[i - 1] - 1 for i in nodes))
+
+    return _peel(total, decode, functools.partial(log_numerator, cm))
 
 
 def recover_from_character_product(cm: CartanMatrix, product: Series,
@@ -139,8 +145,8 @@ def recover_from_character_product(cm: CartanMatrix, product: Series,
 def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
     """Recover symmetric factors from a folded sum of log-numerators.
 
-    Same loop as :func:`peel_log_sum` in class variables.  A candidate's
-    class support determines the class union K, which must be connected and
+    Runs :func:`_peel` in class variables.  A candidate's class support
+    determines the class union K, which must be connected and
     equiconnected; each coordinate must be a multiple q * (lean-lift count)
     with q >= 1, and q - 1 is the symmetric pairing on that class.
     """
@@ -150,21 +156,10 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
             f"{ctx.partition.num_classes} classes")
     if total.constant_term:
         raise DomainError("a folded sum of log-numerators has zero constant term")
-    cap = total.cap
-    residual = total
-    factors: list[PVIndex] = []
-    while not residual.is_zero:
-        if len(factors) >= cap:
-            raise NonzeroResidual(
-                f"residual persists after {len(factors)} factors at cap {cap}")
-        gamma = _select_candidate(residual)
-        coeff = residual.coefficient(gamma)
-        if coeff <= 0:
-            raise NegativeLeadingCoefficient(
-                f"coefficient {coeff} at candidate {gamma}")
-        class_indices = [c - 1 for c in support(gamma)]
+
+    def decode(gamma: tuple[int, ...]) -> PVIndex:
         nodes = tuple(sorted(
-            i for c in class_indices for i in ctx.partition.classes[c]))
+            i for c in support(gamma) for i in ctx.partition.classes[c - 1]))
         if not is_connected(ctx.cm, nodes):
             raise NotEquiconnectedCandidate(
                 f"class union {list(nodes)} of candidate {gamma} is disconnected")
@@ -184,10 +179,9 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
                     f"coordinate {value} at class {c + 1} is not a positive "
                     f"multiple of the lean-lift count {m}")
             class_pairings[c] = q - 1
-        pv = ctx.symmetric_index(nodes, class_pairings)
-        residual = residual - ctx.fold_log_numerator(pv, cap)
-        factors.append(pv)
-    return FactorizationResult(tuple(factors), 0, True, cap)
+        return ctx.symmetric_index(nodes, class_pairings)
+
+    return _peel(total, decode, ctx.fold_log_numerator)
 
 
 def verify_equivalence(left: Sequence[PVIndex], right: Sequence[PVIndex],

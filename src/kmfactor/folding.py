@@ -288,7 +288,7 @@ class FoldContext:
 
     def fold_series(self, series: Series) -> Series:
         """Collapse a node-indexed series to class variables."""
-        return series.fold(self.partition.classes)
+        return series.fold(self.partition)
 
     def fold_log_numerator(self, pv: PVIndex, cap: int) -> Series:
         return self.fold_series(log_numerator(self.cm, pv, cap))

@@ -18,9 +18,11 @@ from functools import lru_cache
 from typing import Iterable
 
 from .cartan import CartanMatrix
-from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity
+from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity, SizeLimit
 from .series import Series
-from .weyl import PVIndex, normalized_numerator
+from .weyl import _CACHE_SIZE, PVIndex, normalized_numerator
+
+_CLOSED_FORM_NODE_LIMIT = 12  # 13 isolated nodes already take about 20 s
 
 
 def marker_exponent(cm: CartanMatrix, pv: PVIndex) -> tuple[int, ...]:
@@ -32,7 +34,7 @@ def marker_exponent(cm: CartanMatrix, pv: PVIndex) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def log_numerator(cm: CartanMatrix, pv: PVIndex, cap: int) -> Series:
     """Minus the log of the normalized numerator; constant term 0."""
     return -(normalized_numerator(cm, pv, cap).log1())
@@ -73,11 +75,15 @@ def leading_coefficient_closed_form(cm: CartanMatrix, nodes: Iterable[int]) -> F
     totally disconnected subsets covering the node set, and evaluates
     (-1)^|I| * sum_k (-1)^k |covers_k| / k.  Exponential in |I|; the
     enumeration memoizes on the remaining-set bitmask and is meant for the
-    small node sets a Dynkin diagram provides.
+    small node sets a Dynkin diagram provides, so node sets over
+    ``_CLOSED_FORM_NODE_LIMIT`` are refused with :class:`SizeLimit`.
     """
     I = cm.check_nodes(nodes)
     if not I:
         raise DomainError("node set must be nonempty")
+    if len(I) > _CLOSED_FORM_NODE_LIMIT:
+        raise SizeLimit(f"the closed form is capped at {_CLOSED_FORM_NODE_LIMIT} "
+                        f"nodes, got {len(I)}")
     k = len(I)
     adj = []
     for a in range(k):

@@ -319,20 +319,18 @@ class Series:
                         target[k] = target.get(k, 0) - w * cg
         return self._unpacked(out, den, grade)
 
-    def fold(self, classes: Iterable[Iterable[int]]) -> "Series":
-        """Collapse variables along a partition of 1..nvars.
+    def fold(self, partition) -> "Series":
+        """Collapse variables along a :class:`kmfactor.folding.Partition`.
 
         Coordinates are summed within each class and coefficients of
         colliding exponents add; the cap carries over unchanged because
-        folding preserves total degree.  Classes are reordered by smallest
-        member, and the c-th folded variable corresponds to the c-th class
-        in that order.
+        folding preserves total degree.  The c-th folded variable is the
+        c-th class of the partition, which orders classes by smallest member.
         """
-        parts = sorted((tuple(sorted(set(p))) for p in classes),
-                       key=lambda p: p[0] if p else 0)
-        flat = [i for p in parts for i in p]
-        if sorted(flat) != list(range(1, self.nvars + 1)):
-            raise DomainError(f"classes do not partition 1..{self.nvars}")
+        if partition.n != self.nvars:
+            raise DomainError(
+                f"partition covers 1..{partition.n}, series has {self.nvars} variables")
+        parts = partition.classes
         out: dict[Exponent, Fraction] = {}
         for exp, c in self._terms.items():
             folded = tuple(sum(exp[i - 1] for i in p) for p in parts)

@@ -16,8 +16,10 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .cartan import CartanMatrix
-from .errors import DomainError, NegativeIntegrability
-from .series import Series
+from .errors import DomainError, NegativeIntegrability, TermLimit
+from .series import _DENSE_TERM_LIMIT, Series
+
+_CACHE_SIZE = 256  # entries per (matrix, index, cap) cache; a peel pool needs ~30
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def orbit_terms(cm: CartanMatrix, nodes: Iterable[int],
     return [OrbitTerm(e, s) for e, s in _orbit(cm, pv, cap)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     if cap < 0:
         raise DomainError("cap must be nonnegative")
@@ -126,12 +128,15 @@ def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> tuple[tuple[tuple[int, ..
             offset_of[nvalues] = noffset
             seen.add(noffset)
             out.append((noffset, -sign))
+            if len(out) > _DENSE_TERM_LIMIT:
+                raise TermLimit(
+                    f"orbit holds more than {_DENSE_TERM_LIMIT} points below cap {cap}")
             queue.append((nvalues, noffset, nd, -sign))
     out.sort(key=lambda t: (sum(t[0]), t[0]))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def normalized_numerator(cm: CartanMatrix, pv: PVIndex, cap: int) -> Series:
     """The alternating orbit sum as a series with constant term 1.
 

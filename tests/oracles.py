@@ -3,7 +3,8 @@
 Everything here computes expected values by a different route than the
 package: definitional power sums for log/inverse, pairwise convolution for
 products, the root-multiplicity convolution recurrence driven by the
-invariant bilinear form, and brute-force graph search.  Nothing imports the
+invariant bilinear form, brute-force graph search, and the dominance order
+on indices that the peel loop must respect.  Nothing imports the
 code paths under test beyond the plain Series container and validated
 matrices.
 """
@@ -133,6 +134,37 @@ def convolution_multiplicities(cm, cap: int) -> dict[tuple[int, ...], int]:
         if m:
             mult[e] = int(m)
     return mult
+
+
+# -- dominance of parabolic Verma indices -----------------------------------------
+#
+# One index dominates another when its node set strictly contains the other's,
+# or the node sets coincide and every pairing is at most the matching one.
+# Dominance is reflexive and transitive but not antisymmetric; indices with
+# equal node sets and pairings are equivalent and share a numerator.  The peel
+# loop must always remove a maximal factor in this order; it finds one from
+# the series alone, so this is an independent statement of its choice.
+
+def dominates(a, b) -> bool:
+    """Whether index ``a`` dominates index ``b``."""
+    if set(a.nodes) > set(b.nodes):
+        return True
+    if a.nodes != b.nodes:
+        return False
+    return all(x <= y for x, y in zip(a.pairings, b.pairings))
+
+
+def equivalent(a, b) -> bool:
+    """Equal node sets and equal pairings on them."""
+    return a.nodes == b.nodes and a.pairings == b.pairings
+
+
+def maximal_indices(items) -> list[int]:
+    """Positions whose every dominator in the list is equivalent to them."""
+    if not items:
+        raise ValueError("maximal-element selection needs a nonempty list")
+    return [k for k, cand in enumerate(items)
+            if all(equivalent(other, cand) for other in items if dominates(other, cand))]
 
 
 # -- brute-force graph helpers -----------------------------------------------------

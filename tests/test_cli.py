@@ -4,6 +4,7 @@ from kmfactor.cli import main
 
 A2 = {"matrix": [[2, -1], [-1, 2]]}
 A3 = {"matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}
+A3AFF = {"matrix": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]}
 
 
 def run(capsys, tmp_path, command, payload=None, *extra):
@@ -219,6 +220,22 @@ def test_huge_degree_refused_up_front(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "TermLimit"
 
 
+def test_huge_affine_orbit_refused(capsys, tmp_path):
+    # the orbit of A3(1) grows without end; enumeration stops at the term budget
+    payload = {"gcm": A3AFF, "I": [1, 2, 3, 4], "lam": {"1": 0, "2": 0, "3": 0, "4": 0}}
+    code, out = run(capsys, tmp_path, "numerator", payload, "--degree", str(10**9))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "TermLimit"
+
+
+def test_leading_coeff_size_limit(capsys, tmp_path):
+    isolated = [[2 if i == j else 0 for j in range(13)] for i in range(13)]
+    code, out = run(capsys, tmp_path, "leading-coeff",
+                    {"gcm": {"matrix": isolated}, "I": list(range(1, 14))})
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "SizeLimit"
+
+
 def test_missing_input_and_bad_json(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "validate")
     assert code == 2
@@ -242,20 +259,12 @@ def test_labels_accepted_in_inputs(capsys, tmp_path):
     assert json.loads(out) == {"value": "1"}
 
 
-def test_byte_determinism(capsys, tmp_path, monkeypatch):
+def test_byte_determinism(capsys, tmp_path):
     payload = {"gcm": A3, "degree": 6, "I": [1, 2, 3],
                "lam": {"1": 0, "2": 1, "3": 0}}
     outputs = set()
-    for threads in ("1", "4"):
-        monkeypatch.setenv("KMF_THREADS", threads)
-        for _ in range(2):
-            code, out = run(capsys, tmp_path, "numerator", payload)
-            assert code == 0
-            outputs.add(out)
+    for _ in range(2):
+        code, out = run(capsys, tmp_path, "numerator", payload)
+        assert code == 0
+        outputs.add(out)
     assert len(outputs) == 1
-
-
-def test_bad_thread_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("KMF_THREADS", "zero")
-    code, out = run(capsys, tmp_path, "validate", {"gcm": A2})
-    assert code == 2

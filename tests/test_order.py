@@ -1,16 +1,13 @@
+"""The dominance order on indices (an oracle) and the peel's use of it."""
+
 import random
 
 import pytest
 
-from kmfactor import (
-    PVIndex,
-    dominates,
-    equivalent,
-    marker_exponent,
-    maximal_indices,
-    normalized_numerator,
-)
-from kmfactor.errors import EmptyList
+from kmfactor import PVIndex, log_numerator, marker_exponent, normalized_numerator, peel_log_sum
+from kmfactor.selftest import random_factors
+from kmfactor.series import Series
+from oracles import dominates, equivalent, maximal_indices
 
 
 def test_strict_containment_dominates():
@@ -56,7 +53,7 @@ def test_maximal_duplicates_and_incomparables():
 
 
 def test_maximal_empty():
-    with pytest.raises(EmptyList):
+    with pytest.raises(ValueError):
         maximal_indices([])
 
 
@@ -88,3 +85,18 @@ def test_equivalent_indices_share_numerator_and_marker(a3):
         assert equivalent(a, b)
         assert marker_exponent(a3, a) == marker_exponent(a3, b)
         assert normalized_numerator(a3, a, 6) == normalized_numerator(a3, b, 6)
+
+
+def test_peel_removes_a_dominance_maximal_factor(a3):
+    rng = random.Random(5)
+    for _ in range(20):
+        factors = random_factors(rng, a3, max_count=4, max_pairing=2)
+        cap = max(sum(marker_exponent(a3, pv)) for pv in factors)
+        total = Series.zero(a3.n, cap)
+        for pv in factors:
+            total = total + log_numerator(a3, pv, cap)
+        remaining = list(factors)
+        for pv in peel_log_sum(a3, total).factors:
+            assert pv in [remaining[k] for k in maximal_indices(remaining)]
+            remaining.remove(pv)
+        assert remaining == []

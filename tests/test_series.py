@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmfactor.errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
+from kmfactor.folding import Partition
 from kmfactor.series import Series, degree, support
 from oracles import naive_invert, naive_log1, naive_mul
 
@@ -254,38 +255,39 @@ def test_dense_work_budget():
 
 def test_fold_cancellation():
     s = series(2, 3, {(1, 0): 1, (0, 1): -1})
-    assert s.fold([(1, 2)]) == Series.zero(1, 3)
+    assert s.fold(Partition.of(2, [(1, 2)])) == Series.zero(1, 3)
 
 
 def test_fold_degree_two():
     s = series(2, 3, {(1, 1): 1})
-    assert s.fold([(1, 2)]) == Series.monomial(1, 3, (2,))
+    assert s.fold(Partition.of(2, [(1, 2)])) == Series.monomial(1, 3, (2,))
 
 
 def test_fold_a2_product():
     s = series(2, 6, A2_PRODUCT)
-    folded = s.fold([(1, 2)])
+    folded = s.fold(Partition.of(2, [(1, 2)]))
     assert folded == series(1, 6, {(0,): 1, (1,): -2, (3,): 2, (4,): -1})
 
 
 def test_fold_partition_checked():
     s = series(3, 2, {})
+    # invalid partitions are refused by Partition.of (see test_folding)
     with pytest.raises(DomainError):
-        s.fold([(1, 2)])
+        s.fold(Partition.of(2, [(1, 2)]))
     with pytest.raises(DomainError):
-        s.fold([(1, 2), (2, 3)])
+        s.fold(Partition.of(4, [(1, 2), (3, 4)]))
 
 
 def test_fold_class_order_is_canonical():
     s = series(3, 4, {(1, 0, 2): 1})
-    assert s.fold([(3,), (1, 2)]) == s.fold([(1, 2), (3,)])
-    assert s.fold([(1, 2), (3,)]).items() == [((1, 2), Fraction(1))]
+    assert s.fold(Partition.of(3, [(3,), (1, 2)])) == s.fold(Partition.of(3, [(1, 2), (3,)]))
+    assert s.fold(Partition.of(3, [(1, 2), (3,)])).items() == [((1, 2), Fraction(1))]
 
 
 @settings(max_examples=50, deadline=None)
 @given(series_strategy(nvars=3), series_strategy(nvars=3))
 def test_fold_linear_multiplicative(a, b):
-    classes = [(1, 3), (2,)]
+    classes = Partition.of(3, [(1, 3), (2,)])
     assert (a + b).fold(classes) == a.fold(classes) + b.fold(classes)
     assert (a * b).fold(classes) == a.fold(classes) * b.fold(classes)
 

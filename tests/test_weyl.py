@@ -3,8 +3,9 @@ import random
 import pytest
 
 from catalog import cartan
-from kmfactor import PVIndex, normalized_numerator, orbit_terms
-from kmfactor.errors import DomainError, NegativeIntegrability
+from kmfactor import PVIndex, character, log_numerator, normalized_numerator, orbit_terms, weyl
+from kmfactor.cartan import validate_gcm
+from kmfactor.errors import DomainError, NegativeIntegrability, TermLimit
 from kmfactor.series import Series, support
 from kmfactor.weyl import OrbitTerm
 
@@ -111,3 +112,25 @@ def test_invalid_nodes_rejected(a2):
         orbit_terms(a2, (3,), {3: 0}, 4)
     with pytest.raises(NegativeIntegrability):
         orbit_terms(a2, (1,), {1: -2}, 4)
+
+
+def test_orbit_term_budget(a3, monkeypatch):
+    # the full A3 orbit has 24 points (the Weyl group order) below cap 40
+    full = PVIndex((1, 2, 3), (0, 0, 0))
+    monkeypatch.setattr(weyl, "_DENSE_TERM_LIMIT", 24)
+    assert len(normalized_numerator(a3, full, 40)) == 24
+    monkeypatch.setattr(weyl, "_DENSE_TERM_LIMIT", 23)
+    with pytest.raises(TermLimit):
+        normalized_numerator(a3, full, 41)
+
+
+def test_caches_are_bounded():
+    # relabelled copies are distinct matrices, so every call adds new entries
+    pv = PVIndex((1, 2), (0, 1))
+    for k in range(300):
+        cm = validate_gcm([[2, -1], [-1, 2]], [f"a{k}", f"b{k}"])
+        character(cm, pv, None, 4)
+        log_numerator(cm, pv, 4)
+    for cache in (weyl._orbit, weyl.normalized_numerator, log_numerator):
+        assert cache.cache_info().maxsize == 256
+        assert cache.cache_info().currsize == 256
