@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -390,6 +391,24 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # over the interpreter's limit on digits
+        raise SchemaError("/", f"integer of {len(text)} digits is out of range") from None
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError("/", f"number {text} is out of range")
+    return value
+
+
+def _no_constant(name: str):
+    raise SchemaError("/", f"{name} is not a JSON value")
+
+
 def _load_payload(args):
     if args.command == "selftest" and args.input is None:
         return {}
@@ -404,9 +423,12 @@ def _load_payload(args):
         except OSError as exc:
             raise SchemaError("/", f"cannot read input: {exc}") from None
     try:
-        payload = json.loads(raw, object_pairs_hook=_unique_keys)
+        payload = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=_json_int,
+                             parse_float=_finite_float, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("/", "JSON nests too deeply") from None
     return _object(payload, "/")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import compress, repeat
 from typing import Callable, Sequence
 
 from .cartan import CartanMatrix, is_connected
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .folding import FoldContext
 from .numerators import log_numerator
-from .series import Series, support
+from .series import Series, _coefficient, support
 from .weyl import PVIndex
 
 
@@ -57,18 +57,17 @@ def _select_candidate(residual: Series) -> tuple[int, ...]:
 
     Among stored exponents, keep those whose support is not strictly
     contained in another stored support, break ties by lexicographically
-    smallest sorted support; within that support keep the componentwise
-    minimal exponents, break ties lexicographically.
+    smallest sorted support; within that support take the lexicographically
+    smallest exponent, which is componentwise minimal among them.  The
+    nonzero pattern of each exponent is computed once, in one pass over the
+    terms, and the distinct patterns are compared with each other.
     """
-    exps = residual.exponents()
-    supports = {support(e) for e in exps}
-    maximal = min(s for s in supports
-                  if not any(set(s) < set(t) for t in supports))
-    pool = [e for e in exps if support(e) == maximal]
-    minimal = [e for e in pool
-               if not any(o != e and all(x <= y for x, y in zip(o, e))
-                          for o in pool)]
-    return min(minimal)
+    exps = residual._terms.keys()
+    patterns = list(map(tuple, map(map, repeat(bool), exps)))
+    supports = {p: frozenset(support(p)) for p in set(patterns)}
+    maximal = min((p for p, s in supports.items()
+                   if not any(s < t for t in supports.values())), key=support)
+    return min(compress(exps, map(maximal.__eq__, patterns)))
 
 
 def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResult:
@@ -192,7 +191,9 @@ def verify_equivalence(left: Sequence[PVIndex], right: Sequence[PVIndex],
 
     Returns a permutation ``sigma`` with ``left[k]`` equivalent to
     ``right[sigma[k]]`` for all k, or None if no matching exists or the
-    componentwise sums of the offset vectors differ.
+    componentwise sums of the offset vectors differ.  Offsets must be
+    ``int`` or ``Fraction``, like series coefficients; anything else raises
+    :class:`DomainError`.
     """
     if len(left) != len(right):
         raise LengthMismatch(f"{len(left)} factors versus {len(right)}")
@@ -203,7 +204,7 @@ def verify_equivalence(left: Sequence[PVIndex], right: Sequence[PVIndex],
             raise LengthMismatch("one offset vector per factor is required")
         sums = []
         for offsets in (offsets_left, offsets_right):
-            vecs = [tuple(Fraction(x) for x in off) for off in offsets]
+            vecs = [tuple(_coefficient(x, "offset") for x in off) for off in offsets]
             if len({len(v) for v in vecs}) > 1:
                 raise DomainError("offset vectors must share a dimension")
             sums.append(tuple(map(sum, zip(*vecs))) if vecs else ())

@@ -13,6 +13,7 @@ lift chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .cartan import CartanMatrix
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .numerators import log_numerator
 from .series import Series
-from .weyl import PVIndex
+from .weyl import _CACHE_SIZE, PVIndex
 
 _LIFT_NODE_LIMIT = 16
 
@@ -291,10 +292,17 @@ class FoldContext:
         return series.fold(self.partition)
 
     def fold_log_numerator(self, pv: PVIndex, cap: int) -> Series:
-        return self.fold_series(log_numerator(self.cm, pv, cap))
+        """The folded log-numerator of an index, cached across contexts."""
+        return _folded_log_numerator(self.cm, self.partition, pv, cap)
 
     def symmetric_index(self, nodes: Iterable[int], class_pairings: dict[int, int]) -> PVIndex:
         """Build the symmetric index with one pairing value per class index."""
         K = self.cm.check_nodes(nodes)
         lam = {i: class_pairings[self.partition.class_index(i)] for i in K}
         return PVIndex.from_map(K, lam)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _folded_log_numerator(cm: CartanMatrix, partition: Partition, pv: PVIndex,
+                          cap: int) -> Series:
+    return log_numerator(cm, pv, cap).fold(partition)

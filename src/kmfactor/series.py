@@ -1,15 +1,22 @@
 """Sparse truncated multivariate power series over exact rationals.
 
 A :class:`Series` lives in Q[[x_1, ..., x_nvars]] truncated at a fixed total
-degree ``cap``: it stores finitely many terms ``exponent -> Fraction`` where
-every exponent is a tuple of nonnegative integers with total degree at most
-``cap``.  Zero coefficients are never stored, so equality is exact term-map
-equality.  The intended reading throughout the package is x_i = exp(-a_i)
-for the i-th simple root a_i, which is why only nonnegative exponents exist.
-Coefficients must be ``int`` or ``Fraction``; anything else, floats
-included, is refused rather than converted.
+degree ``cap``: it holds finitely many terms whose exponents are tuples of
+nonnegative integers with total degree at most ``cap``.  The intended
+reading throughout the package is x_i = exp(-a_i) for the i-th simple root
+a_i, which is why only nonnegative exponents exist.  Coefficients must be
+``int`` or ``Fraction``; anything else, floats included, is refused rather
+than converted.
 
-All operations are pure, truncate at the common cap, and iterate terms in a
+Terms are stored as integer numerators over one common denominator,
+``exponent -> int`` plus ``den``, normalized so that zero numerators are
+never stored and gcd(den, every numerator) is 1.  That form is unique, so
+equality is exact term-map equality.  ``Fraction``s appear only at the
+edges: the constructor's input, ``coefficient``, ``constant_term`` and
+``items``.  Sums, differences, negation, scaling and folding work on the
+numerators and bring the denominators to their lcm first.
+
+All operations are pure, truncate at the common cap, and report terms in a
 fixed order (ascending total degree, then lexicographic on coordinates), so
 results are deterministic.
 
@@ -19,9 +26,9 @@ Products, logarithms, inverses and exact quotients share one kernel:
   deg(e)*R^n + sum_i e_i*R^(n-i).  Below the cap no coordinate reaches R,
   so adding keys adds exponents without carries, key order is term order,
   and a sum of keys exceeds the cap exactly when it reaches R^(n+1).
-* Integer coefficients.  Operands are scaled to Python ints over one
-  common denominator, and Fractions are built once per output term.  For
-  the recurrences a unit 1+u with denominators is first rescaled by x -> Dx,
+* Integer coefficients.  The kernel runs on the stored numerators; the
+  result's denominator is the product of the operands' ones.  For the
+  recurrences a unit 1+u with denominator D is first rescaled by x -> Dx,
   which makes every coefficient of u an integer.
 * One scatter recurrence.  ``log1``, ``invert`` and ``divide`` finish the
   result degree by degree; each finished nonzero term v_a adds w*v_a*u_g
@@ -44,9 +51,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
 
 Exponent = tuple[int, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Most terms log1/invert/divide may have to build.  A dense 91390-term inverse
 # peaks at about 34 MB; the largest job in the tests and the benchmark has
@@ -79,16 +83,17 @@ def _check_exponent(exponent, nvars: int) -> Exponent:
     return exp
 
 
-def _coefficient(value) -> Fraction:
+def _coefficient(value, what: str = "coefficient") -> int | Fraction:
+    """An exact rational, returned as given; anything else is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise DomainError(f"coefficient {value!r} is not an int or a Fraction")
-    return Fraction(value)
+        raise DomainError(f"{what} {value!r} is not an int or a Fraction")
+    return value
 
 
 class Series:
     """Immutable sparse truncated series; see the module docstring."""
 
-    __slots__ = ("nvars", "cap", "_terms")
+    __slots__ = ("nvars", "cap", "_terms", "_den")
 
     def __init__(self, nvars: int, cap: int,
                  terms: Mapping[Exponent, object] | Iterable[tuple[Exponent, object]] = ()):
@@ -96,22 +101,22 @@ class Series:
             raise DomainError("nvars must be nonnegative")
         if cap < 0:
             raise DomainError("cap must be nonnegative")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "cap", cap)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Exponent, Fraction] = {}
+        exact: dict[Exponent, int | Fraction] = {}
         for exponent, coeff in items:
             exp = _check_exponent(exponent, nvars)
-            if sum(exp) > cap:
-                continue  # truncation is silent by contract
             c = _coefficient(coeff)
-            if c:
-                acc = clean.get(exp, _ZERO) + c
-                if acc:
-                    clean[exp] = acc
-                else:
-                    clean.pop(exp, None)
-        object.__setattr__(self, "_terms", clean)
+            if c and sum(exp) <= cap:  # truncation is silent by contract
+                exact[exp] = exact.get(exp, 0) + c
+        den = math.lcm(*(c.denominator for c in exact.values()))
+        self._init(nvars, cap, {e: c.numerator * (den // c.denominator)
+                                for e, c in exact.items() if c}, den)
+
+    def _init(self, nvars: int, cap: int, terms: dict[Exponent, int], den: int) -> None:
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -133,11 +138,11 @@ class Series:
     # -- inspection ------------------------------------------------------
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponent), _ZERO)
+        return Fraction(self._terms.get(tuple(exponent), 0), self._den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.nvars, _ZERO)
+        return self.coefficient((0,) * self.nvars)
 
     @property
     def is_zero(self) -> bool:
@@ -148,7 +153,8 @@ class Series:
 
     def items(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical order."""
-        return [(e, self._terms[e]) for e in self.exponents()]
+        terms, den = self._terms, self._den
+        return [(e, Fraction(terms[e], den)) for e in self.exponents()]
 
     def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
         return iter(self.items())
@@ -160,7 +166,7 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         return (self.nvars == other.nvars and self.cap == other.cap
-                and self._terms == other._terms)
+                and self._den == other._den and self._terms == other._terms)
 
     def __repr__(self) -> str:
         return f"Series({self.text()!r}, nvars={self.nvars}, cap={self.cap})"
@@ -173,34 +179,37 @@ class Series:
         if self.cap != other.cap:
             raise CapMismatch(f"caps differ: {self.cap} vs {other.cap}")
 
-    def __add__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
+    def _combine(self, other: "Series", sign: int) -> "Series":
+        """``self + sign * other`` over the lcm of the two denominators."""
         self._check_compatible(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            acc = out.get(exp, _ZERO) + c
+        den = math.lcm(self._den, other._den)
+        lift, step = den // self._den, sign * (den // other._den)
+        out = dict(self._terms) if lift == 1 else {e: n * lift for e, n in self._terms.items()}
+        get = out.get
+        for exp, n in other._terms.items():
+            acc = get(exp, 0) + n * step
             if acc:
                 out[exp] = acc
             else:
-                out.pop(exp, None)
-        return self._raw(self.nvars, self.cap, out)
+                del out[exp]
+        return self._reduced(self.nvars, out, den)
+
+    def __add__(self, other: "Series") -> "Series":
+        return self._combine(other, 1) if isinstance(other, Series) else NotImplemented
 
     def __sub__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1) if isinstance(other, Series) else NotImplemented
 
     def __neg__(self) -> "Series":
-        return self._raw(self.nvars, self.cap,
-                         {e: -c for e, c in self._terms.items()})
+        return self.scale(-1)
 
     def scale(self, coeff) -> "Series":
         c = _coefficient(coeff)
         if not c:
             return Series.zero(self.nvars, self.cap)
-        return self._raw(self.nvars, self.cap,
-                         {e: c * v for e, v in self._terms.items()})
+        p = c.numerator
+        return self._reduced(self.nvars, {e: p * n for e, n in self._terms.items()},
+                             self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -209,8 +218,8 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         weights, _, limit = _packing(self.nvars, self.cap)
-        da, a = _packed(self._terms, weights)
-        db, b = _packed(other._terms, weights)
+        a = _packed(self._terms, weights)
+        b = _packed(other._terms, weights)
         out: dict[int, int] = {}
         for ka, ca in a:
             room = limit - ka
@@ -219,34 +228,40 @@ class Series:
                     break
                 k = ka + kb
                 out[k] = out.get(k, 0) + ca * cb
-        return self._unpacked(out, da * db)
+        return self._unpacked(out, self._den * other._den)
 
     __rmul__ = __mul__
 
-    @classmethod
-    def _raw(cls, nvars: int, cap: int, terms: dict[Exponent, Fraction]) -> "Series":
-        """Internal constructor for already-normalized term maps."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "nvars", nvars)
-        object.__setattr__(s, "cap", cap)
-        object.__setattr__(s, "_terms", terms)
+    def _reduced(self, nvars: int, terms: dict[Exponent, int], den: int) -> "Series":
+        """Series at this cap of nonzero numerators over ``den``, with the
+        gcd of the denominator and the numerators divided out."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {e: n // g for e, n in terms.items()}
+        s = object.__new__(Series)
+        s._init(nvars, self.cap, terms, den)
         return s
 
     def _unpacked(self, packed: dict[int, int], den: int, grade: int = 1) -> "Series":
-        """Series of packed int coefficients over ``den * grade**degree``.
+        """Series of packed int numerators over ``den * grade**degree``.
 
         Terms are stored in term order, which later sorts find presorted.
         """
         nvars, radix = self.nvars, self.cap + 1
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, int] = {}
         for key, v in sorted(packed.items()):
             if v:
                 exp = [0] * nvars
                 for i in range(nvars - 1, -1, -1):
                     key, exp[i] = divmod(key, radix)
-                d = den if grade == 1 else den * grade ** key  # key is now the degree
-                terms[tuple(exp)] = Fraction(v) if d == 1 else Fraction(v, d)
-        return self._raw(nvars, self.cap, terms)
+                terms[tuple(exp)] = v
+        if grade != 1 and terms:  # bring every degree over grade**top
+            top = max(map(sum, terms))
+            den *= grade ** top
+            terms = {e: v * grade ** (top - sum(e)) for e, v in terms.items()}
+        return self._reduced(nvars, terms, den)
 
     # -- series functions ---------------------------------------------------
 
@@ -271,10 +286,11 @@ class Series:
 
     def _recurrence(self, num: "Series | None") -> "Series":
         """``num / self``, or ``log(self)`` when ``num`` is None; see the module doc."""
-        if self.constant_term != _ONE:
-            raise ConstantTermNotOne(f"constant term is {self.constant_term}, expected 1")
         nvars, cap = self.nvars, self.cap
-        u = {e: c for e, c in self._terms.items() if any(e)}
+        zero = (0,) * nvars
+        if self._terms.get(zero) != self._den:
+            raise ConstantTermNotOne(f"constant term is {self.constant_term}, expected 1")
+        u = {e: c for e, c in self._terms.items() if e != zero}
         if not u:
             return Series.zero(nvars, cap) if num is None else num
         exps = [*u, *(() if num is None else num._terms)]
@@ -283,16 +299,16 @@ class Series:
             raise TermLimit(f"up to C({cap}+{used}, {used}) terms exceed the "
                             f"budget of {_DENSE_TERM_LIMIT}")
         weights, top, _ = _packing(nvars, cap)
-        grade, unit = _packed(u, weights)
-        unit = [(k, c * grade ** (k // top - 1)) for k, c in unit]  # x -> grade*x
+        grade = self._den
+        unit = [(k, c * grade ** (k // top - 1)) for k, c in _packed(u, weights)]  # x -> grade*x
         buckets: list[dict[int, int]] = [{} for _ in range(cap + 1)]
         if num is None:  # slot a starts at deg(a) * lcm(1..cap) * u_a
             den = math.lcm(*range(1, cap + 1))
             for k, c in unit:
                 buckets[k // top][k] = (k // top) * den * c
         else:
-            den, packed = _packed(num._terms, weights)
-            for k, c in packed:
+            den = num._den
+            for k, c in _packed(num._terms, weights):
                 buckets[k // top][k] = c * grade ** (k // top)
         groups: list[tuple[int, list[tuple[int, int]]]] = []  # unit terms by degree
         for k, c in unit:
@@ -331,15 +347,15 @@ class Series:
             raise DomainError(
                 f"partition covers 1..{partition.n}, series has {self.nvars} variables")
         parts = partition.classes
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self._terms.items():
+        out: dict[Exponent, int] = {}
+        for exp, n in self._terms.items():
             folded = tuple(sum(exp[i - 1] for i in p) for p in parts)
-            acc = out.get(folded, _ZERO) + c
+            acc = out.get(folded, 0) + n
             if acc:
                 out[folded] = acc
             else:
-                out.pop(folded, None)
-        return self._raw(len(parts), self.cap, out)
+                del out[folded]
+        return self._reduced(len(parts), out, self._den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -373,9 +389,6 @@ def _packing(nvars: int, cap: int) -> tuple[list[int], int, int]:
     return [top + radix ** (nvars - 1 - i) for i in range(nvars)], top, top * radix
 
 
-def _packed(terms: dict[Exponent, Fraction],
-            weights: list[int]) -> tuple[int, list[tuple[int, int]]]:
-    """Common denominator and the (key, numerator) pairs in term order."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, sorted((sum(map(mul, e, weights)), c.numerator * (den // c.denominator))
-                       for e, c in terms.items())
+def _packed(terms: dict[Exponent, int], weights: list[int]) -> list[tuple[int, int]]:
+    """The (key, numerator) pairs in term order."""
+    return sorted((sum(map(mul, e, weights)), n) for e, n in terms.items())

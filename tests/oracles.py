@@ -1,10 +1,12 @@
 """Independent reimplementations used as oracles.
 
 Everything here computes expected values by a different route than the
-package: definitional power sums for log/inverse, pairwise convolution for
-products, the root-multiplicity convolution recurrence driven by the
-invariant bilinear form, brute-force graph search, and the dominance order
-on indices that the peel loop must respect.  Nothing imports the
+package: term-by-term sums, scaling and folding on the Fractions of
+``items()``, definitional power sums for log/inverse built on them,
+pairwise convolution for products, the root-multiplicity convolution
+recurrence driven by the invariant bilinear form, brute-force graph search,
+the dominance order on indices that the peel loop must respect, and the
+peel candidate by its definition.  Nothing imports the
 code paths under test beyond the plain Series container and validated
 matrices.
 """
@@ -30,23 +32,46 @@ def naive_mul(a: Series, b: Series) -> Series:
     return Series(a.nvars, a.cap, terms)
 
 
+def naive_add(a: Series, b: Series, sign=1) -> Series:
+    """``a + sign * b``, term by term on the Fractions of ``items()``."""
+    terms = dict(a.items())
+    for e, c in b.items():
+        terms[e] = terms.get(e, Fraction(0)) + sign * c
+    return Series(a.nvars, a.cap, terms)
+
+
+def naive_scale(a: Series, q) -> Series:
+    return Series(a.nvars, a.cap, {e: q * c for e, c in a.items()})
+
+
+def naive_fold(a: Series, classes) -> Series:
+    """Sum the coordinates of each class (tuples of 1-based variables)."""
+    terms = {}
+    for e, c in a.items():
+        key = tuple(sum(e[i - 1] for i in part) for part in classes)
+        terms[key] = terms.get(key, Fraction(0)) + c
+    return Series(len(classes), a.cap, terms)
+
+
 def naive_log1(a: Series) -> Series:
-    u = a - Series.one(a.nvars, a.cap)
+    one = Series.one(a.nvars, a.cap)
+    u = naive_add(a, one, -1)
     out = Series.zero(a.nvars, a.cap)
-    power = Series.one(a.nvars, a.cap)
+    power = one
     for k in range(1, a.cap + 1):
         power = naive_mul(power, u)
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
+        out = naive_add(out, naive_scale(power, Fraction((-1) ** (k + 1), k)))
     return out
 
 
 def naive_invert(a: Series) -> Series:
-    v = Series.one(a.nvars, a.cap) - a
-    out = Series.one(a.nvars, a.cap)
-    power = Series.one(a.nvars, a.cap)
+    one = Series.one(a.nvars, a.cap)
+    v = naive_add(one, a, -1)
+    out = one
+    power = one
     for _ in range(a.cap):
         power = naive_mul(power, v)
-        out = out + power
+        out = naive_add(out, power)
     return out
 
 
@@ -165,6 +190,24 @@ def maximal_indices(items) -> list[int]:
         raise ValueError("maximal-element selection needs a nonempty list")
     return [k for k, cand in enumerate(items)
             if all(equivalent(other, cand) for other in items if dominates(other, cand))]
+
+
+def naive_select_candidate(residual: Series) -> tuple[int, ...]:
+    """The peel candidate by the definition: among the stored supports not
+    strictly contained in another, the lexicographically smallest; within it
+    the componentwise-minimal exponents, and of those the smallest."""
+    def support(e):
+        return tuple(i for i, x in enumerate(e, start=1) if x)
+
+    exps = residual.exponents()
+    supports = {support(e) for e in exps}
+    maximal = min(s for s in supports
+                  if not any(set(s) < set(t) for t in supports))
+    pool = [e for e in exps if support(e) == maximal]
+    minimal = [e for e in pool
+               if not any(o != e and all(x <= y for x, y in zip(o, e))
+                          for o in pool)]
+    return min(minimal)
 
 
 # -- brute-force graph helpers -----------------------------------------------------

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import sys
 
-from kmfactor.cli import main
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from catalog import MATRICES
+from kmfactor.cli import _COMMANDS, main
 
 A2 = {"matrix": [[2, -1], [-1, 2]]}
 A3 = {"matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}
@@ -236,6 +242,35 @@ def test_leading_coeff_size_limit(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "SizeLimit"
 
 
+def test_non_finite_numbers_rejected(capsys, tmp_path):
+    # NaN, Infinity and overflowing floats are not JSON; echoing them (as the
+    # character tag) would make stdout unreadable to a strict JSON reader
+    base = '{"gcm":{"matrix":[[2]]},"degree":2,"I":[1],"lam":{"1":0},"offset":%s}'
+    for value in ("NaN", "Infinity", "-Infinity", "1e999"):
+        path = tmp_path / "in.json"
+        path.write_text(base % value)
+        code = main(["character", "--input", str(path)])
+        doc = strict_json(capsys.readouterr().out)
+        assert code == 2 and doc["error"]["type"] == "SchemaError", value
+        assert doc["error"]["pointer"] == "/"
+    path.write_text(base % "0.5")
+    assert main(["character", "--input", str(path)]) == 0
+    assert strict_json(capsys.readouterr().out)["offset"] == 0.5
+
+
+def test_oversized_json_rejected(capsys, tmp_path):
+    # an integer over the interpreter's digit limit and nesting past the
+    # recursion limit both ended in a traceback
+    path = tmp_path / "in.json"
+    for text in ('{"gcm":{"matrix":[[2]]},"degree":' + "9" * 5000 + "}",
+                 '{"gcm":' + "[" * 100000 + "]" * 100000 + "}"):
+        path.write_text(text)
+        code = main(["validate", "--input", str(path)])
+        doc = strict_json(capsys.readouterr().out)
+        assert code == 2 and doc["error"]["type"] == "SchemaError"
+        assert doc["error"]["pointer"] == "/"
+
+
 def test_missing_input_and_bad_json(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "validate")
     assert code == 2
@@ -268,3 +303,102 @@ def test_byte_determinism(capsys, tmp_path):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# -- fuzz: every command on arbitrary JSON ------------------------------------------
+
+json_leaves = st.none() | st.booleans() | st.integers(-4, 8) | st.floats() | st.text(max_size=4)
+any_json = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=16)
+
+
+small_matrices = st.one_of(
+    st.sampled_from([rows for rows in MATRICES.values() if len(rows) <= 4]),
+    st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(-3, 0), min_size=n * n,
+                                                 max_size=n * n).map(lambda v: [
+        [2 if i == j else v[i * n + j] if v[j * n + i] else 0 for j in range(n)]
+        for i in range(n)])))
+
+
+@st.composite
+def payloads(draw):
+    """Payloads whose fields fit the drawn matrix most of the time; each field
+    is arbitrary JSON with probability 1/6, and so is the whole payload 1/10."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(any_json)
+    rows = draw(small_matrices)
+    n = len(rows)
+    node = st.one_of(st.integers(1, n), st.integers(1, n), st.integers(0, n + 1),
+                     st.sampled_from("abcd"))
+    nodes = st.lists(node, max_size=n + 1)
+    index = st.lists(st.integers(1, n), unique=True, max_size=n).flatmap(
+        lambda I: st.fixed_dictionaries({"I": st.just(I), "lam": st.fixed_dictionaries(
+            {str(i): st.integers(0, 2) for i in I})}))
+    top = draw(st.one_of(index, st.fixed_dictionaries(
+        {"I": nodes, "lam": st.dictionaries(node.map(str), st.integers(-1, 3))})))
+    rational = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "x", "1/0"]),
+                         st.floats())
+    fields = {
+        "gcm": st.fixed_dictionaries({"matrix": st.just(rows)}, optional={
+            "labels": st.permutations("abcd").map(lambda labels: labels[:n])}),
+        "degree": st.integers(0, 6),
+        "I": st.just(top["I"]), "K": nodes, "lam": st.just(top["lam"]),
+        "classes": st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(
+            lambda labels: [[i + 1 for i, c in enumerate(labels) if c == k]
+                            for k in sorted(set(labels))]),
+        "automorphisms": st.lists(st.permutations(range(1, n + 1)), max_size=2),
+        "log_sum_of": st.lists(index, max_size=4),
+        "series": st.fixed_dictionaries({"terms": st.lists(st.tuples(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n), rational).map(list),
+            max_size=6)}),
+        "left": st.lists(index, max_size=3), "right": st.lists(index, max_size=3),
+        "offsets_left": st.lists(st.lists(rational, min_size=2, max_size=2), max_size=3),
+        "offsets_right": st.lists(st.lists(rational, min_size=2, max_size=2), max_size=3),
+        "offset": any_json,
+    }
+    payload = {}
+    for key, valid in fields.items():
+        if draw(st.integers(0, 9)) < 8:
+            payload[key] = draw(any_json if draw(st.integers(0, 5)) == 0 else valid)
+    return payload
+
+
+def strict_json(text):
+    """Parse standard JSON only: NaN and Infinity are not JSON values."""
+    def refuse(name):
+        raise ValueError(f"{name} is not a JSON value")
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_in_process(argv, stdin_text):
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(_COMMANDS)), payloads(),
+       st.one_of(st.none(), st.integers(-1, 6)), st.one_of(st.none(), st.integers(-5, 5)))
+def test_cli_fuzz_exits_cleanly(command, payload, degree, seed):
+    argv = [command, "--input", "-", "--output", "json"]
+    if degree is not None:
+        argv += ["--degree", str(degree)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    code, out = run_in_process(argv, json.dumps(payload))
+    assert code in (0, 1, 2)
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = strict_json(out)
+    error = doc.get("error") if isinstance(doc, dict) else None
+    if code == 0:
+        assert error is None
+    else:
+        assert (error["type"] == "SchemaError") == (code == 2)

@@ -2,7 +2,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from catalog import all_connected_subsets, cartan
 from kmfactor import (
     FoldContext,
     PVIndex,
@@ -25,7 +27,9 @@ from kmfactor.errors import (
     NotEquiconnectedCandidate,
     TooManyFactors,
 )
+from kmfactor.factorizer import _select_candidate
 from kmfactor.series import Series
+from oracles import naive_select_candidate
 from test_folding import FIGURE1_CLASSES, figure1
 from kmfactor.folding import Partition
 
@@ -248,4 +252,47 @@ def test_verify_offsets():
 
 def test_verify_rational_offsets():
     items = [PVIndex((1,), (2,))]
-    assert verify_equivalence(items, items, [("1/2",)], [(Fraction(1, 2),)]) == [0]
+    assert verify_equivalence(items, items, [(Fraction(1, 2), 1)], [(Fraction(2, 4), Fraction(1))]) == [0]
+    assert verify_equivalence(items, items, [(Fraction(1, 2),)], [(Fraction(1, 3),)]) is None
+
+
+def test_verify_inexact_offsets_refused():
+    # offsets follow the rule of series coefficients: int or Fraction only
+    items = [PVIndex((1,), (2,))]
+    for bad in (0.1, 1.0, "1/2", None, True):
+        with pytest.raises(DomainError):
+            verify_equivalence(items, items, [(bad,)], [(bad,)])
+        with pytest.raises(DomainError):
+            verify_equivalence(items, items, [(0,)], [(bad,)])
+
+
+# -- candidate selection against its definition ----------------------------------
+
+@st.composite
+def log_sums(draw):
+    """A sum of 1 to 5 log-numerators, or its negation, on a catalog matrix."""
+    cm = cartan(draw(st.sampled_from(("A2", "A3", "B2", "G2", "A1aff", "A2aff",
+                                      "C2aff", "mixed3"))))
+    subsets = all_connected_subsets(cm)
+    factors = []
+    for _ in range(draw(st.integers(1, 5))):
+        nodes = draw(st.sampled_from(subsets))
+        pairings = draw(st.lists(st.integers(0, 2), min_size=len(nodes), max_size=len(nodes)))
+        factors.append(PVIndex(nodes, tuple(pairings)))
+    cap = max(sum(p + 1 for p in pv.pairings) for pv in factors) + draw(st.integers(0, 2))
+    total = log_sum(cm, factors, cap)
+    return -total if draw(st.booleans()) else total
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_sums())
+def test_candidate_matches_naive_on_log_sums(total):
+    assert _select_candidate(total) == naive_select_candidate(total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in range(4))),
+                       st.integers(-3, 3).filter(bool), min_size=1, max_size=12))
+def test_candidate_matches_naive_on_any_series(terms):
+    s = Series(4, 12, terms)
+    assert _select_candidate(s) == naive_select_candidate(s)

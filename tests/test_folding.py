@@ -11,6 +11,7 @@ from kmfactor import (
     connected_transversal,
     is_connected,
     orbit_partition,
+    log_numerator,
     validate_gcm,
 )
 from kmfactor.errors import (
@@ -23,7 +24,7 @@ from kmfactor.errors import (
     NoTransversal,
     SizeLimit,
 )
-from kmfactor.folding import _connected_subsets
+from kmfactor.folding import _connected_subsets, _folded_log_numerator
 from oracles import brute_automorphisms, brute_connected_subsets
 
 
@@ -251,3 +252,20 @@ def test_folded_marker_coefficient_positive_and_weight_independent():
         values.add(folded.coefficient(beta))
     assert len(values) == 1
     assert values.pop() > 0
+
+
+def test_folded_log_numerator_cache_is_shared_and_bounded():
+    cm = figure1()
+    partition = Partition.of(5, FIGURE1_CLASSES)
+    pv = PVIndex((3, 4, 5), (0, 1, 1))
+    first = FoldContext(cm, partition).fold_log_numerator(pv, 8)
+    # a second context on the same matrix and partition reuses the entry
+    assert FoldContext(cm, partition).fold_log_numerator(pv, 8) is first
+    assert first == log_numerator(cm, pv, 8).fold(partition)
+    # relabelled copies are distinct matrices, so every call adds an entry
+    flip = Partition.of(2, [(1, 2)])
+    for k in range(300):
+        ctx = FoldContext(validate_gcm([[2, -1], [-1, 2]], [f"a{k}", f"b{k}"]), flip)
+        ctx.fold_log_numerator(PVIndex((1, 2), (0, 0)), 4)
+    assert _folded_log_numerator.cache_info().maxsize == 256
+    assert _folded_log_numerator.cache_info().currsize == 256

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kmfactor.errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
 from kmfactor.folding import Partition
 from kmfactor.series import Series, degree, support
-from oracles import naive_invert, naive_log1, naive_mul
+from oracles import naive_add, naive_fold, naive_invert, naive_log1, naive_mul, naive_scale
 
 # Hand expansion of (1-x1)(1-x2)(1-x1x2); also the A2 full-set numerator.
 A2_PRODUCT = {
@@ -54,6 +55,8 @@ def test_inexact_coefficients_rejected():
     for bad in (0.1, 1.0, "1/2", None, True, complex(1, 0)):
         with pytest.raises(DomainError):
             series(1, 2, {(1,): bad})
+        with pytest.raises(DomainError):  # checked before truncation drops the term
+            series(1, 2, {(5,): bad})
     with pytest.raises(DomainError):
         series(1, 2, {(1,): 1}).scale(0.5)
 
@@ -75,6 +78,83 @@ def test_cap_mismatch():
         series(1, 2, {}) + series(1, 3, {})
     with pytest.raises(DomainError):
         series(1, 2, {}) + series(2, 2, {})
+
+
+# -- sums, differences, negation and scaling ----------------------------------------
+
+wide_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def wide_series(nvars=3, cap=5):
+    """Series whose terms carry many different denominators."""
+    exps = st.tuples(*(st.integers(min_value=0, max_value=cap) for _ in range(nvars)))
+    return st.dictionaries(exps, wide_coeffs, max_size=8).map(
+        lambda terms: Series(nvars, cap, terms))
+
+
+def partitions(n=3):
+    """Partitions of 1..n, drawn as a class label per node."""
+    return st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(
+        lambda labels: Partition.of(n, [[i + 1 for i, x in enumerate(labels) if x == c]
+                                        for c in set(labels)]))
+
+
+def stored_form_is_normalized(s):
+    nums = list(s._terms.values())
+    return s._den >= 1 and all(nums) and math.gcd(s._den, *nums) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_series(), wide_series(), wide_coeffs)
+def test_linear_operations_match_naive(a, b, q):
+    for got, want in ((a + b, naive_add(a, b)), (a - b, naive_add(a, b, -1)),
+                      (-a, naive_scale(a, -1)), (a.scale(q), naive_scale(a, q))):
+        assert got == want
+        assert got.items() == want.items()
+        assert stored_form_is_normalized(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_series(), partitions())
+def test_fold_matches_naive(a, partition):
+    folded = a.fold(partition)
+    assert folded == naive_fold(a, partition.classes)
+    assert stored_form_is_normalized(folded)
+    # rotating coordinates within each class leaves the fold unchanged, so
+    # the difference folds to zero term by term
+    image = {}
+    for part in partition.classes:
+        for k, i in enumerate(part):
+            image[i] = part[(k + 1) % len(part)]
+    rotated = series(a.nvars, a.cap, {tuple(e[image[i + 1] - 1] for i in range(a.nvars)): c
+                                      for e, c in a.items()})
+    assert (a - rotated).fold(partition) == Series.zero(len(partition.classes), a.cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_series())
+def test_difference_with_itself_is_zero(a):
+    assert (a - a) == Series.zero(a.nvars, a.cap)
+    assert (a + -a).is_zero
+    assert a.scale(0).is_zero
+
+
+def test_equality_across_denominators_examples():
+    half = series(1, 3, {(1,): Fraction(1, 2)})
+    assert half + half == Series.monomial(1, 3, (1,))
+    sixths = series(1, 3, {(1,): Fraction(1, 3), (2,): Fraction(1, 6)})
+    assert sixths - series(1, 3, {(2,): Fraction(1, 6)}) == series(1, 3, {(1,): Fraction(1, 3)})
+    assert series(1, 3, {(1,): 2}).scale(Fraction(1, 2)) == Series.monomial(1, 3, (1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_series(), wide_series(), wide_coeffs.filter(bool))
+def test_equality_across_denominators(a, b, q):
+    # the same values reached through different common denominators
+    assert (a + b) - b == a
+    assert a.scale(q).scale(1 / q) == a
+    assert series(a.nvars, a.cap, a.items()) == a
+    assert stored_form_is_normalized((a + b) - b)
 
 
 # -- multiplication --------------------------------------------------------------
