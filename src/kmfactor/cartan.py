@@ -7,7 +7,6 @@ through :meth:`CartanMatrix.entry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -20,19 +19,62 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``__slots__`` (private slots, named with
+    a leading underscore, are derived data), sets them with
+    ``object.__setattr__`` in ``__init__`` and writes its own ``__eq__`` and
+    ``__hash__``, because those sit in cache keys.  The repr has the form
+    ``Name(field=value, ...)``; copying and pickling rebuild an instance
+    through its constructor.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(f for f in type(self).__slots__ if not f.startswith("_"))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields())
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields())
+
+
+class CartanMatrix(_Frozen):
     """A symmetrizable generalized Cartan matrix with labelled nodes.
 
     ``entry(i, j)`` is the integer pairing of the j-th simple root against
     the i-th simple coroot.  ``symmetrizer`` is a witness: positive rationals
     d with d_i * entry(i, j) == d_j * entry(j, i) for all i, j.  Construct
-    instances through :func:`validate_gcm`.
+    instances through :func:`validate_gcm`.  The hash is computed once, from
+    the rows and labels, since every cache lookup in the package hashes the
+    matrix.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    symmetrizer: tuple[Fraction, ...]
+    __slots__ = ("rows", "labels", "symmetrizer", "_hash")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+                 symmetrizer: tuple[Fraction, ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "symmetrizer", symmetrizer)
+        object.__setattr__(self, "_hash", hash((rows, labels)))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CartanMatrix:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self.rows == other.rows
+            and self.labels == other.labels and self.symmetrizer == other.symmetrizer)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

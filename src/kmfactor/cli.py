@@ -43,7 +43,6 @@ from .numerators import (
 )
 from .series import Series
 from .weyl import PVIndex, normalized_numerator
-from . import selftest
 
 
 # -- schema helpers ------------------------------------------------------------
@@ -96,9 +95,14 @@ def _parse_gcm(payload, pointer="") -> CartanMatrix:
     labels = block.get("labels")
     if labels is not None:
         labels = _array(labels, f"{pointer}/gcm/labels")
+        if len(labels) != len(rows):
+            raise SchemaError(f"{pointer}/gcm/labels",
+                              f"expected {len(rows)} labels, got {len(labels)}")
         for i, lab in enumerate(labels):
             if not isinstance(lab, str):
                 raise SchemaError(f"{pointer}/gcm/labels/{i}", "expected a string")
+            if lab in labels[:i]:
+                raise SchemaError(f"{pointer}/gcm/labels/{i}", f"label {lab!r} is repeated")
     return validate_gcm(rows, labels)
 
 
@@ -108,9 +112,10 @@ def _parse_node(cm: CartanMatrix, value, pointer) -> int:
             raise SchemaError(pointer, f"node {value} out of range 1..{cm.n}")
         return value
     if isinstance(value, str):
-        if value in cm.labels:
-            return cm.labels.index(value) + 1
-        raise SchemaError(pointer, f"unknown node label {value!r}")
+        try:
+            return cm.node_of_label(value)
+        except DomainError as exc:
+            raise SchemaError(pointer, str(exc)) from None
     raise SchemaError(pointer, "expected a node label or 1-based position")
 
 
@@ -344,6 +349,8 @@ def _cmd_verify(args, payload):
 
 
 def _cmd_selftest(args, payload):
+    from . import selftest  # imported on demand: no other command uses it
+
     seed = args.seed if args.seed is not None else 0
     doc = selftest.run(seed)
     return doc, f"trials={doc['trials']} failures={doc['failures']}"

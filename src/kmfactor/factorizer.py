@@ -14,11 +14,10 @@ the same loop in class variables, decoding markers through lean-lift counts.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Callable, Sequence
 
-from .cartan import CartanMatrix, is_connected
+from .cartan import CartanMatrix, _Frozen, is_connected
 from .errors import (
     DisconnectedCandidateSupport,
     DivisibilityFailure,
@@ -36,8 +35,7 @@ from .series import Series, _coefficient, support
 from .weyl import PVIndex
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(_Frozen):
     """Recovered factors plus bookkeeping.
 
     ``factors`` lists one index per peeled factor in peel order (a multiset
@@ -46,10 +44,25 @@ class FactorizationResult:
     is the truncation cap the result is certified to.
     """
 
-    factors: tuple[PVIndex, ...]
-    empty_count: int
-    residual_zero: bool
-    certified_degree: int
+    __slots__ = ("factors", "empty_count", "residual_zero", "certified_degree")
+
+    def __init__(self, factors: tuple[PVIndex, ...], empty_count: int,
+                 residual_zero: bool, certified_degree: int):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "empty_count", empty_count)
+        object.__setattr__(self, "residual_zero", residual_zero)
+        object.__setattr__(self, "certified_degree", certified_degree)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FactorizationResult:
+            return NotImplemented
+        return (self.factors == other.factors and self.empty_count == other.empty_count
+                and self.residual_zero == other.residual_zero
+                and self.certified_degree == other.certified_degree)
+
+    def __hash__(self) -> int:
+        return hash((self.factors, self.empty_count, self.residual_zero,
+                     self.certified_degree))
 
 
 def _select_candidate(residual: Series) -> tuple[int, ...]:

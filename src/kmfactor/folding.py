@@ -12,11 +12,10 @@ lift chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .cartan import CartanMatrix
+from .cartan import CartanMatrix, _Frozen
 from .errors import (
     DomainError,
     NoLift,
@@ -34,12 +33,22 @@ from .weyl import _CACHE_SIZE, PVIndex
 _LIFT_NODE_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Frozen):
     """Disjoint classes covering 1..n, ordered by smallest member."""
 
-    n: int
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "classes")
+
+    def __init__(self, n: int, classes: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "classes", classes)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Partition:
+            return NotImplemented
+        return self.n == other.n and self.classes == other.classes
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.classes))
 
     @classmethod
     def of(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
@@ -65,11 +74,21 @@ class Partition:
         return self.classes[self.class_index(node)]
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(_Frozen):
     """A node permutation preserving the Cartan matrix; images[i-1] = image of i."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not DiagramAutomorphism:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     def apply(self, node: int) -> int:
         return self.images[node - 1]
@@ -178,14 +197,32 @@ def _connected_subsets(neigh: dict[int, tuple[int, ...]],
         yield from grow(frozenset({v}), start_frontier, frozenset(), allowed)
 
 
-@dataclass(frozen=True)
-class LiftData:
-    """Inclusion-minimal lifts of one class union and the derived counts."""
+class LiftData(_Frozen):
+    """Inclusion-minimal lifts of one class union and the derived counts.
 
-    lifts: tuple[tuple[int, ...], ...]
-    lean: tuple[tuple[int, ...], ...]
-    class_indices: tuple[int, ...]          # classes making up the union
-    lean_counts: tuple[int, ...] | None     # |lean lift ∩ class|, aligned
+    ``class_indices`` lists the classes making up the union and
+    ``lean_counts`` the sizes |lean lift ∩ class|, aligned with them, or
+    None when no lift is lean.
+    """
+
+    __slots__ = ("lifts", "lean", "class_indices", "lean_counts")
+
+    def __init__(self, lifts: tuple[tuple[int, ...], ...], lean: tuple[tuple[int, ...], ...],
+                 class_indices: tuple[int, ...], lean_counts: tuple[int, ...] | None):
+        object.__setattr__(self, "lifts", lifts)
+        object.__setattr__(self, "lean", lean)
+        object.__setattr__(self, "class_indices", class_indices)
+        object.__setattr__(self, "lean_counts", lean_counts)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LiftData:
+            return NotImplemented
+        return (self.lifts == other.lifts and self.lean == other.lean
+                and self.class_indices == other.class_indices
+                and self.lean_counts == other.lean_counts)
+
+    def __hash__(self) -> int:
+        return hash((self.lifts, self.lean, self.class_indices, self.lean_counts))
 
     @property
     def equiconnected(self) -> bool:

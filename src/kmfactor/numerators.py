@@ -12,12 +12,11 @@ node set by totally disconnected pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .cartan import CartanMatrix
+from .cartan import CartanMatrix, _Frozen
 from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity, SizeLimit
 from .series import Series
 from .weyl import _CACHE_SIZE, PVIndex, normalized_numerator
@@ -40,17 +39,28 @@ def log_numerator(cm: CartanMatrix, pv: PVIndex, cap: int) -> Series:
     return -(normalized_numerator(cm, pv, cap).log1())
 
 
-@dataclass(frozen=True)
-class CharacterValue:
+class CharacterValue(_Frozen):
     """A normalized character body together with an opaque highest-weight tag.
 
     The body is the character divided by the exponential of the highest
     weight, so its constant term is 1; the tag is caller-supplied data
-    (typically a vector) compared only by equality.
+    (typically a vector) compared only by equality.  A ``Series`` is not
+    hashable, so neither is a character value.
     """
 
-    offset: object
-    body: Series
+    __slots__ = ("offset", "body")
+
+    def __init__(self, offset: object, body: Series):
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "body", body)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CharacterValue:
+            return NotImplemented
+        return self.offset == other.offset and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.offset, self.body))
 
 
 def character(cm: CartanMatrix, pv: PVIndex, offset, cap: int) -> CharacterValue:

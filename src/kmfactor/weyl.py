@@ -11,19 +11,17 @@ nonnegative integer vector supported inside the node set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .cartan import CartanMatrix
+from .cartan import CartanMatrix, _Frozen
 from .errors import DomainError, NegativeIntegrability, TermLimit
 from .series import _DENSE_TERM_LIMIT, Series
 
 _CACHE_SIZE = 256  # entries per (matrix, index, cap) cache; a peel pool needs ~30
 
 
-@dataclass(frozen=True)
-class PVIndex:
+class PVIndex(_Frozen):
     """Index of a parabolic Verma factor.
 
     ``nodes`` is the sorted integrable node set and ``pairings[k]`` the
@@ -32,14 +30,11 @@ class PVIndex:
     are interchangeable everywhere.
     """
 
-    nodes: tuple[int, ...]
-    pairings: tuple[int, ...]
+    __slots__ = ("nodes", "pairings")
 
-    def __post_init__(self):
-        nodes = tuple(self.nodes)
-        pairings = tuple(self.pairings)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "pairings", pairings)
+    def __init__(self, nodes: Iterable[int], pairings: Iterable[int]):
+        nodes = tuple(nodes)
+        pairings = tuple(pairings)
         if list(nodes) != sorted(set(nodes)):
             raise DomainError(f"node set {nodes} is not strictly increasing")
         if len(pairings) != len(nodes):
@@ -50,6 +45,16 @@ class PVIndex:
                 raise DomainError(f"pairing at node {i} is not an integer")
             if p < 0:
                 raise NegativeIntegrability(f"pairing at node {i} is {p} < 0")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "pairings", pairings)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PVIndex:
+            return NotImplemented
+        return self.nodes == other.nodes and self.pairings == other.pairings
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.pairings))
 
     @classmethod
     def from_map(cls, nodes: Iterable[int], lam: Mapping[int, int]) -> "PVIndex":
@@ -66,12 +71,22 @@ class PVIndex:
         return dict(zip(self.nodes, self.pairings))
 
 
-@dataclass(frozen=True)
-class OrbitTerm:
+class OrbitTerm(_Frozen):
     """One orbit point: its offset exponent and the sign of the group element."""
 
-    exponent: tuple[int, ...]
-    sign: int
+    __slots__ = ("exponent", "sign")
+
+    def __init__(self, exponent: tuple[int, ...], sign: int):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not OrbitTerm:
+            return NotImplemented
+        return self.exponent == other.exponent and self.sign == other.sign
+
+    def __hash__(self) -> int:
+        return hash((self.exponent, self.sign))
 
 
 def orbit_terms(cm: CartanMatrix, nodes: Iterable[int],

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -192,6 +194,10 @@ def test_schema_error_pointers(capsys, tmp_path):
          "factor", "/series/terms/0/0"),
         ({"gcm": A2, "classes": [[1], [1, 2]]}, "orbits", "/classes"),
         ({"gcm": A2, "classes": [[1, 1], [2]]}, "orbits", "/classes/0/1"),
+        ({"gcm": {**A2, "labels": ["a", "b", "a"]}}, "validate", "/gcm/labels"),
+        ({"gcm": {**A2, "labels": ["a", "a"]}}, "validate", "/gcm/labels/1"),
+        ({"gcm": {**A2, "labels": ["a", "b"]}, "degree": 3, "I": ["c"], "lam": {}},
+         "numerator", "/I/0"),
     ]
     for payload, command, pointer in cases:
         code, out = run(capsys, tmp_path, command, payload)
@@ -199,6 +205,30 @@ def test_schema_error_pointers(capsys, tmp_path):
         doc = json.loads(out)
         assert doc["error"]["type"] == "SchemaError"
         assert doc["error"]["pointer"] == pointer
+
+
+def test_label_errors_name_the_label(capsys, tmp_path):
+    gcm = {**A2, "labels": ["a", "b"]}
+    code, out = run(capsys, tmp_path, "leading-coeff", {"gcm": gcm, "I": ["a", "c"]})
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "SchemaError", "pointer": "/I/1", "message": "unknown node label 'c'"}
+    code, out = run(capsys, tmp_path, "validate", {"gcm": {**A2, "labels": ["b", "b"]}})
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "label 'b' is repeated"
+
+
+def test_import_footprint():
+    """``import kmfactor.cli`` loads neither ``dataclasses`` (with ``inspect``)
+    nor the selftest module, which only ``kmf selftest`` needs."""
+    src = os.path.dirname(os.path.dirname(sys.modules["kmfactor"].__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kmfactor.cli; print(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "kmfactor.cli" in out
+    for name in ("dataclasses", "inspect", "kmfactor.selftest"):
+        assert name not in out
 
 
 def test_repeated_node_rejected(capsys, tmp_path):

@@ -1,0 +1,117 @@
+"""The package's immutable value types and the hash cached on CartanMatrix."""
+
+import copy
+import fractions
+import pickle
+
+import pytest
+
+from catalog import cartan
+from kmfactor import (
+    CartanMatrix,
+    CharacterValue,
+    DiagramAutomorphism,
+    FactorizationResult,
+    FoldContext,
+    OrbitTerm,
+    Partition,
+    PVIndex,
+    Series,
+    log_numerator,
+    validate_gcm,
+)
+from kmfactor.errors import DomainError
+from kmfactor.folding import LiftData
+
+A2_ROWS = ((2, -1), (-1, 2))
+
+
+def _series(c):
+    return Series(2, 3, {(0, 0): 1, (1, 0): c})
+
+
+# (class, field values, field to change, its changed value)
+CASES = [
+    (CartanMatrix,
+     {"rows": A2_ROWS, "labels": ("1", "2"),
+      "symmetrizer": (fractions.Fraction(1), fractions.Fraction(1))},
+     "labels", ("a", "b")),
+    (PVIndex, {"nodes": (1, 2), "pairings": (0, 3)}, "pairings", (0, 4)),
+    (OrbitTerm, {"exponent": (1, 0), "sign": -1}, "sign", 1),
+    (Partition, {"n": 3, "classes": ((1, 3), (2,))}, "classes", ((1,), (2, 3))),
+    (DiagramAutomorphism, {"images": (3, 2, 1)}, "images", (1, 2, 3)),
+    (LiftData, {"lifts": ((1, 2), (2, 3)), "lean": ((1, 2),), "class_indices": (0, 1),
+                "lean_counts": (1, 1)}, "lean_counts", None),
+    (CharacterValue, {"offset": [1, 0], "body": _series(2)}, "body", _series(3)),
+    (FactorizationResult, {"factors": (PVIndex((1,), (0,)),), "empty_count": 0,
+                           "residual_zero": True, "certified_degree": 5},
+     "empty_count", 1),
+]
+
+
+@pytest.mark.parametrize("cls, fields, key, other", CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_value_type(cls, fields, key, other):
+    a = cls(**fields)
+    b = cls(*fields.values())
+    assert a == b and not a != b
+    assert a != cls(**{**fields, key: other})
+    assert (a == object()) is False and (a == tuple(fields.values())) is False
+    if cls is CharacterValue:  # a Series can be neither hashed nor pickled
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a) == copy.deepcopy(a)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, fields[name])
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert repr(a) == "{}({})".format(
+        cls.__name__, ", ".join(f"{k}={v!r}" for k, v in fields.items()))
+
+
+def test_pvindex_normalizes_and_checks():
+    pv = PVIndex([1, 3], iter([2, 0]))
+    assert pv.nodes == (1, 3) and pv.pairings == (2, 0)
+    assert pv == PVIndex((1, 3), (2, 0))
+    with pytest.raises(DomainError):
+        PVIndex([3, 1], [0, 0])
+    with pytest.raises(DomainError):
+        PVIndex([1, 1], [0, 0])
+    with pytest.raises(DomainError):
+        PVIndex([1], [True])
+
+
+def test_cartan_matrix_hash_follows_rows_and_labels():
+    cm = validate_gcm(A2_ROWS)
+    relabelled = validate_gcm(A2_ROWS, ["a", "b"])
+    assert cm == validate_gcm([[2, -1], [-1, 2]])
+    assert hash(cm) == hash(validate_gcm([[2, -1], [-1, 2]]))
+    assert cm != relabelled
+
+
+def test_cartan_matrix_is_hashed_once(monkeypatch):
+    """Warm cache lookups keyed on a matrix hash no Fraction."""
+    cm = cartan("A3aff")
+    ctx = FoldContext(cm, Partition.of(4, [[1], [2, 4], [3]]))
+    pv = PVIndex((1, 2, 4), (0, 1, 1))
+    log_numerator(cm, pv, 8)
+    ctx.fold_log_numerator(pv, 8)
+    calls = []
+    original = fractions.Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(fractions.Fraction, "__hash__", counting)
+    assert hash(fractions.Fraction(1, 2)) == hash(fractions.Fraction(2, 4))
+    assert len(calls) == 2  # the wrapper is in place
+    calls.clear()
+    for _ in range(50):
+        log_numerator(cm, pv, 8)
+        ctx.fold_log_numerator(pv, 8)
+    assert calls == []
