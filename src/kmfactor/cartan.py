@@ -8,6 +8,7 @@ through :meth:`CartanMatrix.entry`.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,28 +23,58 @@ from .errors import (
 class _Frozen:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields in ``__slots__`` (private slots, named with
-    a leading underscore, are derived data), sets them with
-    ``object.__setattr__`` in ``__init__`` and writes its own ``__eq__`` and
-    ``__hash__``, because those sit in cache keys.  The repr has the form
-    ``Name(field=value, ...)``; copying and pickling rebuild an instance
-    through its constructor.
+    A subclass lists its fields in ``__slots__``; private slots, named with
+    a leading underscore, hold derived data and are not fields.  From the
+    fields, read once per class into ``_fields`` and the ``_key`` getter,
+    the base derives:
+
+    - ``__init__``, taking fields by position or by name; a missing, extra,
+      repeated or unknown field raises ``TypeError``;
+    - ``__eq__``: ``NotImplemented`` for another type, else equal keys;
+    - ``__hash__``: the hash of the key;
+    - the repr ``Name(field=value, ...)`` and a ``__reduce__`` that rebuilds
+      an instance through its constructor, for copying and pickling.
+
+    Setting an attribute raises.  A subclass that checks its input or
+    stores derived data writes its own ``__init__`` and sets its slots with
+    ``object.__setattr__``.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(f for f in type(self).__slots__ if not f.startswith("_"))
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {', '.join(fields)} once each; "
+                f"got {len(args)} by position and {sorted(kwargs)} by name")
+        for field in fields:
+            object.__setattr__(self, field, values[field])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields())
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({body})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields())
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class CartanMatrix(_Frozen):
@@ -65,13 +96,6 @@ class CartanMatrix(_Frozen):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "symmetrizer", symmetrizer)
         object.__setattr__(self, "_hash", hash((rows, labels)))
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not CartanMatrix:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash and self.rows == other.rows
-            and self.labels == other.labels and self.symmetrizer == other.symmetrizer)
 
     def __hash__(self) -> int:
         return self._hash

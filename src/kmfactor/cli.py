@@ -229,19 +229,11 @@ def _cmd_validate(args, payload):
     return {"ok": True, "symmetrizer": [str(d) for d in cm.symmetrizer]}, None
 
 
-def _cmd_numerator(args, payload):
+def _cmd_numerator(args, payload, log=False):
     cm = _parse_gcm(payload)
     cap = _degree_of(args, payload)
     pv = _parse_index(cm, payload, "")
-    series = normalized_numerator(cm, pv, cap)
-    return {"series": _series_doc(series)}, series.text()
-
-
-def _cmd_logseries(args, payload):
-    cm = _parse_gcm(payload)
-    cap = _degree_of(args, payload)
-    pv = _parse_index(cm, payload, "")
-    series = log_numerator(cm, pv, cap)
+    series = (log_numerator if log else normalized_numerator)(cm, pv, cap)
     return {"series": _series_doc(series)}, series.text()
 
 
@@ -359,7 +351,7 @@ def _cmd_selftest(args, payload):
 _COMMANDS = {
     "validate": _cmd_validate,
     "numerator": _cmd_numerator,
-    "logseries": _cmd_logseries,
+    "logseries": functools.partial(_cmd_numerator, log=True),
     "character": _cmd_character,
     "multiplicities": _cmd_multiplicities,
     "leading-coeff": _cmd_leading_coeff,

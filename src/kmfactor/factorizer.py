@@ -46,24 +46,6 @@ class FactorizationResult(_Frozen):
 
     __slots__ = ("factors", "empty_count", "residual_zero", "certified_degree")
 
-    def __init__(self, factors: tuple[PVIndex, ...], empty_count: int,
-                 residual_zero: bool, certified_degree: int):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "empty_count", empty_count)
-        object.__setattr__(self, "residual_zero", residual_zero)
-        object.__setattr__(self, "certified_degree", certified_degree)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not FactorizationResult:
-            return NotImplemented
-        return (self.factors == other.factors and self.empty_count == other.empty_count
-                and self.residual_zero == other.residual_zero
-                and self.certified_degree == other.certified_degree)
-
-    def __hash__(self) -> int:
-        return hash((self.factors, self.empty_count, self.residual_zero,
-                     self.certified_degree))
-
 
 def _select_candidate(residual: Series) -> tuple[int, ...]:
     """Deterministic peel candidate: support-maximal, then minimal exponent.

@@ -34,26 +34,15 @@ _LIFT_NODE_LIMIT = 16
 
 
 class Partition(_Frozen):
-    """Disjoint classes covering 1..n, ordered by smallest member."""
+    """Nonempty disjoint classes covering 1..n, ordered by smallest member."""
 
     __slots__ = ("n", "classes")
 
-    def __init__(self, n: int, classes: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "classes", classes)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Partition:
-            return NotImplemented
-        return self.n == other.n and self.classes == other.classes
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.classes))
-
     @classmethod
     def of(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
-        parts = sorted((tuple(sorted(set(p))) for p in classes),
-                       key=lambda p: p[0] if p else 0)
+        parts = sorted(tuple(sorted(set(p))) for p in classes)
+        if () in parts:
+            raise DomainError("a class is empty")
         flat = [i for p in parts for i in p]
         if sorted(flat) != list(range(1, n + 1)):
             raise DomainError(f"classes do not partition 1..{n}")
@@ -70,25 +59,11 @@ class Partition(_Frozen):
                 return c
         raise DomainError(f"node {node} out of range 1..{self.n}")
 
-    def class_of(self, node: int) -> tuple[int, ...]:
-        return self.classes[self.class_index(node)]
-
 
 class DiagramAutomorphism(_Frozen):
     """A node permutation preserving the Cartan matrix; images[i-1] = image of i."""
 
     __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]):
-        object.__setattr__(self, "images", images)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not DiagramAutomorphism:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def apply(self, node: int) -> int:
         return self.images[node - 1]
@@ -206,23 +181,6 @@ class LiftData(_Frozen):
     """
 
     __slots__ = ("lifts", "lean", "class_indices", "lean_counts")
-
-    def __init__(self, lifts: tuple[tuple[int, ...], ...], lean: tuple[tuple[int, ...], ...],
-                 class_indices: tuple[int, ...], lean_counts: tuple[int, ...] | None):
-        object.__setattr__(self, "lifts", lifts)
-        object.__setattr__(self, "lean", lean)
-        object.__setattr__(self, "class_indices", class_indices)
-        object.__setattr__(self, "lean_counts", lean_counts)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not LiftData:
-            return NotImplemented
-        return (self.lifts == other.lifts and self.lean == other.lean
-                and self.class_indices == other.class_indices
-                and self.lean_counts == other.lean_counts)
-
-    def __hash__(self) -> int:
-        return hash((self.lifts, self.lean, self.class_indices, self.lean_counts))
 
     @property
     def equiconnected(self) -> bool:

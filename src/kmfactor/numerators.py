@@ -50,18 +50,6 @@ class CharacterValue(_Frozen):
 
     __slots__ = ("offset", "body")
 
-    def __init__(self, offset: object, body: Series):
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "body", body)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not CharacterValue:
-            return NotImplemented
-        return self.offset == other.offset and self.body == other.body
-
-    def __hash__(self) -> int:
-        return hash((self.offset, self.body))
-
 
 def character(cm: CartanMatrix, pv: PVIndex, offset, cap: int) -> CharacterValue:
     """Normalized parabolic Verma character: numerator over the full-set one.

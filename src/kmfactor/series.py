@@ -121,6 +121,9 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
+    def __reduce__(self):
+        return Series, (self.nvars, self.cap, self.items())
+
     # -- constructors ---------------------------------------------------
 
     @classmethod

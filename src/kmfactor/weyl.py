@@ -48,14 +48,6 @@ class PVIndex(_Frozen):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "pairings", pairings)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not PVIndex:
-            return NotImplemented
-        return self.nodes == other.nodes and self.pairings == other.pairings
-
-    def __hash__(self) -> int:
-        return hash((self.nodes, self.pairings))
-
     @classmethod
     def from_map(cls, nodes: Iterable[int], lam: Mapping[int, int]) -> "PVIndex":
         I = tuple(sorted(set(nodes)))
@@ -75,18 +67,6 @@ class OrbitTerm(_Frozen):
     """One orbit point: its offset exponent and the sign of the group element."""
 
     __slots__ = ("exponent", "sign")
-
-    def __init__(self, exponent: tuple[int, ...], sign: int):
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "sign", sign)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not OrbitTerm:
-            return NotImplemented
-        return self.exponent == other.exponent and self.sign == other.sign
-
-    def __hash__(self) -> int:
-        return hash((self.exponent, self.sign))
 
 
 def orbit_terms(cm: CartanMatrix, nodes: Iterable[int],

@@ -193,6 +193,7 @@ def test_schema_error_pointers(capsys, tmp_path):
         ({"gcm": A2, "degree": 3, "series": {"terms": [[[1], "1"]]}},
          "factor", "/series/terms/0/0"),
         ({"gcm": A2, "classes": [[1], [1, 2]]}, "orbits", "/classes"),
+        ({"gcm": A2, "classes": [[1, 2], []]}, "orbits", "/classes"),
         ({"gcm": A2, "classes": [[1, 1], [2]]}, "orbits", "/classes/0/1"),
         ({"gcm": {**A2, "labels": ["a", "b", "a"]}}, "validate", "/gcm/labels"),
         ({"gcm": {**A2, "labels": ["a", "a"]}}, "validate", "/gcm/labels/1"),

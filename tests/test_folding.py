@@ -57,9 +57,10 @@ def test_partition_canonical_order():
     p = Partition.of(4, [[3], [4, 2], [1]])
     assert p.classes == ((1,), (2, 4), (3,))
     assert p.class_index(4) == 1
-    assert p.class_of(3) == (3,)
     with pytest.raises(DomainError):
         Partition.of(3, [[1, 2]])
+    with pytest.raises(DomainError):
+        Partition.of(2, [[1, 2], []])
     with pytest.raises(DomainError):
         Partition.of(3, [[1, 2], [2, 3]])
 

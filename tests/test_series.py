@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -66,6 +68,13 @@ def test_term_order_and_text():
     assert s.exponents() == [(0, 0), (1, 0), (0, 2), (2, 0)]
     assert s.text() == "3 + 1/2*x1 - x2^2 + x1^2"
     assert Series.zero(2, 4).text() == "0"
+
+
+def test_copy_and_pickle_round_trip():
+    s = series(2, 4, {(0, 0): 1, (1, 0): Fraction(1, 3), (0, 1): Fraction(-5, 2)})
+    for x in (s, s * s, s.log1(), series(2, 4, A2_PRODUCT), Series.zero(2, 4)):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == x and (y.nvars, y.cap, y.items()) == (x.nvars, x.cap, x.items())
 
 
 def test_support_and_degree():

@@ -20,6 +20,7 @@ from kmfactor import (
     log_numerator,
     validate_gcm,
 )
+from kmfactor.cartan import _Frozen
 from kmfactor.errors import DomainError
 from kmfactor.folding import LiftData
 
@@ -57,13 +58,13 @@ def test_value_type(cls, fields, key, other):
     assert a == b and not a != b
     assert a != cls(**{**fields, key: other})
     assert (a == object()) is False and (a == tuple(fields.values())) is False
-    if cls is CharacterValue:  # a Series can be neither hashed nor pickled
+    if cls is CharacterValue:  # a Series is not hashable
         with pytest.raises(TypeError):
             hash(a)
     else:
         assert hash(a) == hash(b)
         assert {a: 1}[b] == 1
-        assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a) == copy.deepcopy(a)
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a) == copy.deepcopy(a)
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(a, name, fields[name])
@@ -71,6 +72,24 @@ def test_value_type(cls, fields, key, other):
         a.extra = 1
     assert repr(a) == "{}({})".format(
         cls.__name__, ", ".join(f"{k}={v!r}" for k, v in fields.items()))
+
+
+def test_every_value_type_is_checked():
+    assert set(_Frozen.__subclasses__()) == {case[0] for case in CASES}
+
+
+def test_generic_constructor():
+    fields = {"factors": (), "empty_count": 2, "residual_zero": False, "certified_degree": 7}
+    a = FactorizationResult(**fields)
+    assert FactorizationResult((), 2, residual_zero=False, certified_degree=7) == a
+    with pytest.raises(TypeError):
+        FactorizationResult(*fields.values(), 1)
+    with pytest.raises(TypeError):
+        FactorizationResult((), 2, False)
+    with pytest.raises(TypeError):
+        FactorizationResult(**fields, cap=7)
+    with pytest.raises(TypeError):
+        FactorizationResult((), 2, False, 7, empty_count=2)
 
 
 def test_pvindex_normalizes_and_checks():
