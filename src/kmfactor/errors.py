@@ -110,7 +110,8 @@ class DisconnectedCandidateSupport(DomainError):
 
 
 class NonzeroResidual(DomainError):
-    """Peeling exceeded its factor budget without clearing the residual."""
+    """A peel candidate's coefficient is no whole multiple of its factor's
+    marker coefficient, or a peeled candidate came back."""
 
 
 class NotEquiconnectedCandidate(DomainError):

@@ -5,16 +5,18 @@ exposes a dominance-maximal contributor: among exponents carrying nonzero
 coefficients, those with inclusion-maximal support have the support of some
 maximal factor, and the componentwise-minimal exponents with exactly that
 support are the marker exponents of maximal factors, each with a strictly
-positive coefficient.  Subtracting the recomputed log-numerator of the
-selected factor cancels it exactly, so the loop terminates with a zero
-residual precisely when the input was such a sum.  The folded variant runs
-the same loop in class variables, decoding markers through lean-lift counts.
+positive coefficient.  That coefficient is the factor's multiplicity times
+its marker coefficient, so subtracting the recomputed log-numerator of the
+selected factor that many times cancels every copy of it, and the loop
+terminates with a zero residual precisely when the input was such a sum.
+The folded variant runs the same loop in class variables, decoding markers
+through lean-lift counts.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import compress, repeat
+from itertools import compress
 from typing import Callable, Sequence
 
 from .cartan import CartanMatrix, _Frozen, is_connected
@@ -27,11 +29,12 @@ from .errors import (
     NoLift,
     NonzeroResidual,
     NotEquiconnectedCandidate,
+    TermLimit,
     TooManyFactors,
 )
 from .folding import FoldContext
 from .numerators import log_numerator
-from .series import Series, _coefficient, support
+from .series import _DENSE_TERM_LIMIT, Series, _coefficient, support
 from .weyl import PVIndex
 
 
@@ -47,43 +50,67 @@ class FactorizationResult(_Frozen):
     __slots__ = ("factors", "empty_count", "residual_zero", "certified_degree")
 
 
-def _select_candidate(residual: Series) -> tuple[int, ...]:
-    """Deterministic peel candidate: support-maximal, then minimal exponent.
+def _select_candidate(residual: Series) -> int:
+    """Key of the deterministic peel candidate: support-maximal, then minimal.
 
     Among stored exponents, keep those whose support is not strictly
     contained in another stored support, break ties by lexicographically
     smallest sorted support; within that support take the lexicographically
     smallest exponent, which is componentwise minimal among them.  The
-    nonzero pattern of each exponent is computed once, in one pass over the
-    terms, and the distinct patterns are compared with each other.
+    support of each key is read once, with three integer operations, and
+    the distinct supports are compared with each other.  A support mask
+    holds the first coordinate's bit highest, so among supports none of
+    which contains another the lexicographically smallest is the largest
+    mask; the low fields of a key read in lexicographic order.
     """
-    exps = residual._terms.keys()
-    patterns = list(map(tuple, map(map, repeat(bool), exps)))
-    supports = {p: frozenset(support(p)) for p in set(patterns)}
-    maximal = min((p for p, s in supports.items()
-                   if not any(s < t for t in supports.values())), key=support)
-    return min(compress(exps, map(maximal.__eq__, patterns)))
+    pack = residual._pack
+    keys = residual._terms.keys()
+    masks = list(pack.supports(keys))
+    distinct = set(masks)
+    maximal = max(m for m in distinct if not any(m | o == o != m for o in distinct))
+    return min(compress(keys, map(maximal.__eq__, masks)), key=pack.lex.__and__)
 
 
 def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResult:
     """The one peel loop: ``decode`` reads a factor off each positive
-    candidate and ``term(factor, cap)`` is subtracted.  At most cap factors
-    contribute below the cap, so the loop runs at most cap times."""
+    candidate, and ``term(factor, cap)`` times the factor's multiplicity is
+    subtracted in one step.
+
+    The multiplicity is the candidate's coefficient over the factor's
+    marker coefficient, which for a sum of log-numerators is the number of
+    copies of that factor.  A multiplicity that is not a positive integer,
+    or a candidate that was already peeled and comes back, means the input
+    is no such sum.  Every step removes one candidate for good, so the loop
+    ends after at most as many steps as there are exponents under the cap;
+    a result of more than ``_DENSE_TERM_LIMIT`` factors is refused.
+    """
     cap = total.cap
     residual = total
     factors: list[PVIndex] = []
+    peeled: set[int] = set()
     while not residual.is_zero:
-        if len(factors) >= cap:
-            raise NonzeroResidual(
-                f"residual persists after {len(factors)} factors at cap {cap}")
-        candidate = _select_candidate(residual)
-        coeff = residual.coefficient(candidate)
+        key = _select_candidate(residual)
+        candidate = residual._pack.exponent(key)
+        coeff = residual._terms[key]
         if coeff <= 0:
             raise NegativeLeadingCoefficient(
-                f"coefficient {coeff} at candidate {candidate}")
+                f"coefficient {residual.coefficient(candidate)} at candidate {candidate}")
+        if key in peeled:
+            raise NonzeroResidual(f"candidate {candidate} came back after it was peeled")
         pv = decode(candidate)
-        residual = residual - term(pv, cap)
-        factors.append(pv)
+        t = term(pv, cap)
+        marker = t._terms.get(key, 0)
+        m, r = divmod(coeff * t._den, residual._den * marker) if marker > 0 else (0, 1)
+        if r or m < 1:
+            raise NonzeroResidual(
+                f"coefficient {residual.coefficient(candidate)} at candidate {candidate} "
+                f"is no whole multiple of the marker coefficient {t.coefficient(candidate)}")
+        if len(factors) + m > _DENSE_TERM_LIMIT:
+            raise TermLimit(f"{len(factors) + m} factors exceed the budget of "
+                            f"{_DENSE_TERM_LIMIT}")
+        residual = residual - (t if m == 1 else t.scale(m))
+        factors += [pv] * m
+        peeled.add(key)
     return FactorizationResult(tuple(factors), 0, True, cap)
 
 

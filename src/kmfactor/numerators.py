@@ -60,9 +60,10 @@ def character(cm: CartanMatrix, pv: PVIndex, offset, cap: int) -> CharacterValue
     """
     full = PVIndex(cm.nodes(), (0,) * cm.n)
     body = normalized_numerator(cm, pv, cap).divide(normalized_numerator(cm, full, cap))
-    for exp, c in body.items():
-        if c.denominator != 1 or c < 0:
-            raise NonIntegralCharacter(f"coefficient {c} at exponent {exp}")
+    # the stored form is unique, so integral means a denominator of 1
+    if body._den != 1 or min(body._terms.values()) < 0:
+        exp, c = next((e, c) for e, c in body.items() if c.denominator != 1 or c < 0)
+        raise NonIntegralCharacter(f"coefficient {c} at exponent {exp}")
     return CharacterValue(offset, body)
 
 
@@ -138,25 +139,30 @@ def root_multiplicities(cm: CartanMatrix, cap: int) -> dict[tuple[int, ...], int
     contributions mult(base)/k of all proper divisors.  Only nonzero
     multiplicities are returned; a negative or non-integral value means the
     inputs were inconsistent and raises.
+
+    The work runs on the packed keys and integer numerators of the
+    log-numerator.  Packing is linear, so the base e/k of an exponent e has
+    key key(e)/k; k divides both the degree and the coordinate fields of
+    key(e), and a quotient key that is a stored root is exactly e/k.
     """
     if cap < 1:
         raise DomainError("cap must be at least 1")
     full = PVIndex(cm.nodes(), (0,) * cm.n)
     log_full = log_numerator(cm, full, cap)
-    out: dict[tuple[int, ...], int] = {}
-    for exp, c in log_full.items():  # canonical order is ascending degree
-        m = c
-        g = math.gcd(*exp)
-        for d in range(2, g + 1):
-            if g % d:
-                continue
-            base = tuple(e // d for e in exp)
-            mb = out.get(base)
-            if mb:
-                m -= Fraction(mb, d)
-        if not m:
-            continue
-        if m.denominator != 1 or m < 0:
-            raise NonIntegralMultiplicity(f"value {m} at exponent {exp}")
-        out[exp] = int(m)
-    return out
+    terms, den, pack = log_full._terms, log_full._den, log_full._pack
+    out: dict[int, int] = {}
+    for key in sorted(terms):  # key order is ascending degree
+        num, q = terms[key], den  # the multiplicity is num / q
+        g = math.gcd(key >> pack.shift, key & pack.lex)
+        for k in range(2, g + 1):
+            if g % k == 0:
+                mb = out.get(key // k)
+                if mb:
+                    num, q = num * k - mb * q, q * k
+        m, r = divmod(num, q)
+        if r or m < 0:
+            raise NonIntegralMultiplicity(
+                f"value {Fraction(num, q)} at exponent {pack.exponent(key)}")
+        if m:
+            out[key] = m
+    return {pack.exponent(key): m for key, m in out.items()}

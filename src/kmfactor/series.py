@@ -8,44 +8,58 @@ a_i, which is why only nonnegative exponents exist.  Coefficients must be
 ``int`` or ``Fraction``; anything else, floats included, is refused rather
 than converted.
 
-Terms are stored as integer numerators over one common denominator,
-``exponent -> int`` plus ``den``, normalized so that zero numerators are
-never stored and gcd(den, every numerator) is 1.  That form is unique, so
-equality is exact term-map equality.  ``Fraction``s appear only at the
-edges: the constructor's input, ``coefficient``, ``constant_term`` and
-``items``.  Sums, differences, negation, scaling and folding work on the
-numerators and bring the denominators to their lcm first.
+Storage is one dict from packed exponent keys to integer numerators, plus
+one common denominator:
 
-All operations are pure, truncate at the common cap, and report terms in a
-fixed order (ascending total degree, then lexicographic on coordinates), so
-results are deterministic.
+* Packed keys.  Each coordinate gets a field of b bits, where b is one more
+  than the bit length of ``cap``, so the top bit of every field is clear;
+  the fields sit in coordinate order below the total degree, which is the
+  top digit.  Below the cap no coordinate reaches 2**(b-1), so adding keys
+  adds exponents without carries, key order is term order (ascending total
+  degree, then lexicographic on coordinates), the key's low fields read in
+  lexicographic order, and a sum of keys exceeds the cap exactly when it
+  reaches (cap+1) << (b*nvars).  Adding 2**(b-1) - 1 to every field sets a
+  field's clear top bit exactly when the coordinate is nonzero, so one
+  mask, one add and one mask read the support of a key.
+* Integer numerators.  Numerators are ints over the denominator, normalized
+  so that zero numerators are never stored and gcd(den, every numerator) is
+  1.  That form is unique, so equality is exact term-map equality.
 
-Products, logarithms, inverses and exact quotients share one kernel:
+Exponent tuples and ``Fraction``s appear only at the edges: the
+constructor's input, ``coefficient``, ``constant_term``, ``exponents``,
+``items`` and ``text``.  Sums, differences, negation and scaling work on
+the stored keys and numerators after bringing the denominators to their
+lcm; ``fold`` re-packs each key through a per-class digit map.
 
-* Packed keys.  With radix R = cap+1 an exponent e becomes the integer
-  deg(e)*R^n + sum_i e_i*R^(n-i).  Below the cap no coordinate reaches R,
-  so adding keys adds exponents without carries, key order is term order,
-  and a sum of keys exceeds the cap exactly when it reaches R^(n+1).
-* Integer coefficients.  The kernel runs on the stored numerators; the
-  result's denominator is the product of the operands' ones.  For the
-  recurrences a unit 1+u with denominator D is first rescaled by x -> Dx,
-  which makes every coefficient of u an integer.
+All operations are pure, truncate at the common cap, and report terms in
+term order, so results are deterministic.
+
+Products, logarithms, inverses and exact quotients run on the stored keys:
+
+* Integer coefficients.  A product's denominator is the product of the
+  operands' ones.  For the recurrences a unit 1+u with denominator D is
+  first rescaled by x -> Dx, which makes every coefficient of u an integer.
 * One scatter recurrence.  ``log1``, ``invert`` and ``divide`` finish the
   result degree by degree; each finished nonzero term v_a adds w*v_a*u_g
   into the slot of a+g for every term u_g of the divisor, so only pairs of
   nonzero terms are visited.  For the logarithm w = deg(a) (the
   log-derivative recurrence of Brent and Kung) and the slots are scaled by
   lcm(1..cap), which keeps every division by a degree exact.
-* Work budget.  Those three produce dense output, so they refuse up front,
+* Work budgets.  Those three produce dense output, so they refuse up front,
   with :class:`TermLimit`, any job whose possible terms, C(cap+m, m) over
-  the m variables the operands use, exceed ``_DENSE_TERM_LIMIT``.
+  the m variables the operands use, exceed ``_DENSE_TERM_LIMIT``.  A
+  product counts the pairs its loop will visit from the two degree
+  histograms and refuses more than ``_PAIR_LIMIT``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from operator import mul
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import add, and_, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
@@ -56,6 +70,9 @@ Exponent = tuple[int, ...]
 # peaks at about 34 MB; the largest job in the tests and the benchmark has
 # 10626 terms.
 _DENSE_TERM_LIMIT = 100_000
+# Most term pairs a product may visit, a few seconds of work; the largest
+# product in the benchmark visits 7436.
+_PAIR_LIMIT = 10_000_000
 
 
 def degree(exponent: Sequence[int]) -> int:
@@ -66,11 +83,6 @@ def degree(exponent: Sequence[int]) -> int:
 def support(exponent: Sequence[int]) -> tuple[int, ...]:
     """1-based positions of the nonzero coordinates."""
     return tuple(i for i, e in enumerate(exponent, start=1) if e)
-
-
-def term_order(exponent: Sequence[int]) -> tuple[int, Sequence[int]]:
-    """Sort key: ascending total degree, then lexicographic."""
-    return (sum(exponent), tuple(exponent))
 
 
 def _check_exponent(exponent, nvars: int) -> Exponent:
@@ -90,10 +102,43 @@ def _coefficient(value, what: str = "coefficient") -> int | Fraction:
     return value
 
 
+class _Packing:
+    """Key layout of the exponents of one (nvars, cap); see the module doc."""
+
+    __slots__ = ("shift", "shifts", "weights", "mask", "lex", "low", "guards")
+
+    def __init__(self, nvars: int, cap: int):
+        bits = cap.bit_length() + 1
+        self.shift = bits * nvars                       # the degree digit starts here
+        self.shifts = [bits * (nvars - 1 - i) for i in range(nvars)]
+        self.weights = [(1 << self.shift) + (1 << s) for s in self.shifts]
+        self.mask = (1 << bits) - 1
+        self.lex = (1 << self.shift) - 1                # all coordinate fields
+        ones = sum(1 << s for s in self.shifts)
+        self.low = ones * ((1 << (bits - 1)) - 1)
+        self.guards = ones << (bits - 1)
+
+    def key(self, exponent: Sequence[int]) -> int:
+        return sum(map(mul, exponent, self.weights))
+
+    def exponent(self, key: int) -> Exponent:
+        mask = self.mask
+        return tuple((key >> s) & mask for s in self.shifts)
+
+    def supports(self, keys: Iterable[int]) -> Iterator[int]:
+        """The nonzero pattern of each key: a guard bit per nonzero coordinate,
+        with the first coordinate's bit highest."""
+        return map(and_, map(add, map(and_, keys, repeat(self.lex)), repeat(self.low)),
+                   repeat(self.guards))
+
+
+_packing = lru_cache(maxsize=256)(_Packing)
+
+
 class Series:
     """Immutable sparse truncated series; see the module docstring."""
 
-    __slots__ = ("nvars", "cap", "_terms", "_den")
+    __slots__ = ("nvars", "cap", "_terms", "_den", "_pack")
 
     def __init__(self, nvars: int, cap: int,
                  terms: Mapping[Exponent, object] | Iterable[tuple[Exponent, object]] = ()):
@@ -101,22 +146,26 @@ class Series:
             raise DomainError("nvars must be nonnegative")
         if cap < 0:
             raise DomainError("cap must be nonnegative")
+        pack = _packing(nvars, cap)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        exact: dict[Exponent, int | Fraction] = {}
+        exact: dict[int, int | Fraction] = {}
         for exponent, coeff in items:
             exp = _check_exponent(exponent, nvars)
             c = _coefficient(coeff)
             if c and sum(exp) <= cap:  # truncation is silent by contract
-                exact[exp] = exact.get(exp, 0) + c
+                key = pack.key(exp)
+                exact[key] = exact.get(key, 0) + c
         den = math.lcm(*(c.denominator for c in exact.values()))
-        self._init(nvars, cap, {e: c.numerator * (den // c.denominator)
-                                for e, c in exact.items() if c}, den)
+        self._init(nvars, cap, {k: c.numerator * (den // c.denominator)
+                                for k, c in exact.items() if c}, den, pack)
 
-    def _init(self, nvars: int, cap: int, terms: dict[Exponent, int], den: int) -> None:
+    def _init(self, nvars: int, cap: int, terms: dict[int, int], den: int,
+              pack: _Packing) -> None:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_pack", pack)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -141,23 +190,29 @@ class Series:
     # -- inspection ------------------------------------------------------
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return Fraction(self._terms.get(tuple(exponent), 0), self._den)
+        """Coefficient at ``exponent``; 0 for any exponent not stored, including
+        ones of the wrong length, with a negative coordinate or over the cap."""
+        exp = tuple(exponent)
+        if (len(exp) != self.nvars or not all(isinstance(e, int) and e >= 0 for e in exp)
+                or sum(exp) > self.cap):
+            return Fraction(0)
+        return Fraction(self._terms.get(self._pack.key(exp), 0), self._den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.nvars)
+        return Fraction(self._terms.get(0, 0), self._den)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def exponents(self) -> list[Exponent]:
-        return sorted(self._terms, key=term_order)
+        return list(map(self._pack.exponent, sorted(self._terms)))
 
     def items(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in canonical order."""
-        terms, den = self._terms, self._den
-        return [(e, Fraction(terms[e], den)) for e in self.exponents()]
+        terms, den, exponent = self._terms, self._den, self._pack.exponent
+        return [(exponent(k), Fraction(terms[k], den)) for k in sorted(terms)]
 
     def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
         return iter(self.items())
@@ -187,15 +242,15 @@ class Series:
         self._check_compatible(other)
         den = math.lcm(self._den, other._den)
         lift, step = den // self._den, sign * (den // other._den)
-        out = dict(self._terms) if lift == 1 else {e: n * lift for e, n in self._terms.items()}
+        out = dict(self._terms) if lift == 1 else {k: n * lift for k, n in self._terms.items()}
         get = out.get
-        for exp, n in other._terms.items():
-            acc = get(exp, 0) + n * step
+        for key, n in other._terms.items():
+            acc = get(key, 0) + n * step
             if acc:
-                out[exp] = acc
+                out[key] = acc
             else:
-                del out[exp]
-        return self._reduced(self.nvars, out, den)
+                del out[key]
+        return self._reduced(out, den)
 
     def __add__(self, other: "Series") -> "Series":
         return self._combine(other, 1) if isinstance(other, Series) else NotImplemented
@@ -211,7 +266,7 @@ class Series:
         if not c:
             return Series.zero(self.nvars, self.cap)
         p = c.numerator
-        return self._reduced(self.nvars, {e: p * n for e, n in self._terms.items()},
+        return self._reduced({k: p * n for k, n in self._terms.items()},
                              self._den * c.denominator)
 
     def __mul__(self, other):
@@ -220,51 +275,49 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        weights, _, limit = _packing(self.nvars, self.cap)
-        a = _packed(self._terms, weights)
-        b = _packed(other._terms, weights)
+        a = sorted(self._terms.items())
+        b = sorted(other._terms.items())
+        # the terms of a of degree d meet the b terms of degree <= cap - d,
+        # a prefix of b in term order
+        shift, cap = self._pack.shift, self.cap
+        runs: list[tuple[int, int, int]] = []
+        i, pairs = 0, 0
+        while i < len(a):
+            d = a[i][0] >> shift
+            j = bisect_left(a, ((d + 1) << shift,), i)
+            room = bisect_left(b, ((cap + 1 - d) << shift,))
+            runs.append((i, j, room))
+            pairs += (j - i) * room
+            i = j
+        if pairs > _PAIR_LIMIT:
+            raise TermLimit(f"the product visits {pairs} term pairs, over the "
+                            f"budget of {_PAIR_LIMIT}")
         out: dict[int, int] = {}
-        for ka, ca in a:
-            room = limit - ka
-            for kb, cb in b:
-                if kb >= room:
-                    break
-                k = ka + kb
-                out[k] = out.get(k, 0) + ca * cb
-        return self._unpacked(out, self._den * other._den)
+        get = out.get
+        for i, j, room in runs:
+            prefix = b[:room]
+            for ka, ca in a[i:j]:
+                for kb, cb in prefix:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+        return self._reduced({k: v for k, v in out.items() if v}, self._den * other._den)
 
     __rmul__ = __mul__
 
-    def _reduced(self, nvars: int, terms: dict[Exponent, int], den: int) -> "Series":
-        """Series at this cap of nonzero numerators over ``den``, with the
-        gcd of the denominator and the numerators divided out."""
+    def _reduced(self, terms: dict[int, int], den: int,
+                 nvars: int | None = None) -> "Series":
+        """Series at this cap (and this variable count unless ``nvars`` is
+        given) of nonzero numerators over ``den``, with the gcd of the
+        denominator and the numerators divided out."""
         if den != 1:
             g = math.gcd(den, *terms.values())
             if g != 1:
                 den //= g
-                terms = {e: n // g for e, n in terms.items()}
+                terms = {k: n // g for k, n in terms.items()}
+        pack = self._pack if nvars is None else _packing(nvars, self.cap)
         s = object.__new__(Series)
-        s._init(nvars, self.cap, terms, den)
+        s._init(self.nvars if nvars is None else nvars, self.cap, terms, den, pack)
         return s
-
-    def _unpacked(self, packed: dict[int, int], den: int, grade: int = 1) -> "Series":
-        """Series of packed int numerators over ``den * grade**degree``.
-
-        Terms are stored in term order, which later sorts find presorted.
-        """
-        nvars, radix = self.nvars, self.cap + 1
-        terms: dict[Exponent, int] = {}
-        for key, v in sorted(packed.items()):
-            if v:
-                exp = [0] * nvars
-                for i in range(nvars - 1, -1, -1):
-                    key, exp[i] = divmod(key, radix)
-                terms[tuple(exp)] = v
-        if grade != 1 and terms:  # bring every degree over grade**top
-            top = max(map(sum, terms))
-            den *= grade ** top
-            terms = {e: v * grade ** (top - sum(e)) for e, v in terms.items()}
-        return self._reduced(nvars, terms, den)
 
     # -- series functions ---------------------------------------------------
 
@@ -289,37 +342,41 @@ class Series:
 
     def _recurrence(self, num: "Series | None") -> "Series":
         """``num / self``, or ``log(self)`` when ``num`` is None; see the module doc."""
-        nvars, cap = self.nvars, self.cap
-        zero = (0,) * nvars
-        if self._terms.get(zero) != self._den:
+        nvars, cap, pack = self.nvars, self.cap, self._pack
+        if self._terms.get(0) != self._den:  # key 0 is the zero exponent
             raise ConstantTermNotOne(f"constant term is {self.constant_term}, expected 1")
-        u = {e: c for e, c in self._terms.items() if e != zero}
+        u = sorted(item for item in self._terms.items() if item[0])
         if not u:
             return Series.zero(nvars, cap) if num is None else num
-        exps = [*u, *(() if num is None else num._terms)]
-        used = sum(1 for column in zip(*exps) if any(column))
+        fields = reduce(or_, self._terms, 0)  # a coordinate in use is nonzero here
+        if num is not None:
+            fields = reduce(or_, num._terms, fields)
+        used = next(pack.supports((fields,))).bit_count()
         if math.comb(cap + used, used) > _DENSE_TERM_LIMIT:
             raise TermLimit(f"up to C({cap}+{used}, {used}) terms exceed the "
                             f"budget of {_DENSE_TERM_LIMIT}")
-        weights, top, _ = _packing(nvars, cap)
+        shift = pack.shift
         grade = self._den
-        unit = [(k, c * grade ** (k // top - 1)) for k, c in _packed(u, weights)]  # x -> grade*x
+        unit = [(k, c * grade ** ((k >> shift) - 1)) for k, c in u]  # x -> grade*x
         buckets: list[dict[int, int]] = [{} for _ in range(cap + 1)]
         if num is None:  # slot a starts at deg(a) * lcm(1..cap) * u_a
             den = math.lcm(*range(1, cap + 1))
             for k, c in unit:
-                buckets[k // top][k] = (k // top) * den * c
+                buckets[k >> shift][k] = (k >> shift) * den * c
         else:
             den = num._den
-            for k, c in _packed(num._terms, weights):
-                buckets[k // top][k] = c * grade ** (k // top)
+            for k, c in num._terms.items():
+                buckets[k >> shift][k] = c * grade ** (k >> shift)
         groups: list[tuple[int, list[tuple[int, int]]]] = []  # unit terms by degree
         for k, c in unit:
-            if not groups or groups[-1][0] != k // top:
-                groups.append((k // top, []))
+            if not groups or groups[-1][0] != k >> shift:
+                groups.append((k >> shift, []))
             groups[-1][1].append((k, c))
         out: dict[int, int] = {}
         for d, bucket in enumerate(buckets):
+            # the slots a finished term of degree d scatters into, per unit degree
+            plan = [(buckets[d + e], buckets[d + e].get, group)
+                    for e, group in groups if d + e <= cap]
             for ka, v in bucket.items():
                 if num is None:
                     v, r = divmod(v, d)
@@ -329,14 +386,16 @@ class Series:
                     continue
                 out[ka] = v
                 w = d * v if num is None else v
-                for e, group in groups:
-                    if d + e > cap:
-                        break
-                    target = buckets[d + e]
+                for target, get, group in plan:
                     for kg, cg in group:
                         k = ka + kg
-                        target[k] = target.get(k, 0) - w * cg
-        return self._unpacked(out, den, grade)
+                        target[k] = get(k, 0) - w * cg
+        if grade != 1 and out:  # bring every degree over grade**top
+            top = max(out) >> shift
+            powers = [grade ** (top - d) for d in range(top + 1)]
+            den *= powers[0]
+            out = {k: v * powers[k >> shift] for k, v in out.items()}
+        return self._reduced(out, den)
 
     def fold(self, partition) -> "Series":
         """Collapse variables along a :class:`kmfactor.folding.Partition`.
@@ -350,15 +409,20 @@ class Series:
             raise DomainError(
                 f"partition covers 1..{partition.n}, series has {self.nvars} variables")
         parts = partition.classes
-        out: dict[Exponent, int] = {}
-        for exp, n in self._terms.items():
-            folded = tuple(sum(exp[i - 1] for i in p) for p in parts)
+        weights = _packing(len(parts), self.cap).weights
+        pack = self._pack
+        # packing is linear, so coordinate i moves to the weight of its class
+        digits = [(pack.shifts[i - 1], weights[c]) for c, p in enumerate(parts) for i in p]
+        mask = pack.mask
+        out: dict[int, int] = {}
+        for key, n in self._terms.items():
+            folded = sum([((key >> s) & mask) * w for s, w in digits])
             acc = out.get(folded, 0) + n
             if acc:
                 out[folded] = acc
             else:
                 del out[folded]
-        return self._reduced(len(parts), out, self._den)
+        return self._reduced(out, self._den, len(parts))
 
     # -- rendering ---------------------------------------------------------
 
@@ -383,15 +447,3 @@ class Series:
             else:
                 chunks.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(chunks)
-
-
-def _packing(nvars: int, cap: int) -> tuple[list[int], int, int]:
-    """Key weights of the coordinates, R^n and the first key above the cap."""
-    radix = cap + 1
-    top = radix ** nvars
-    return [top + radix ** (nvars - 1 - i) for i in range(nvars)], top, top * radix
-
-
-def _packed(terms: dict[Exponent, int], weights: list[int]) -> list[tuple[int, int]]:
-    """The (key, numerator) pairs in term order."""
-    return sorted((sum(map(mul, e, weights)), n) for e, n in terms.items())

@@ -127,6 +127,14 @@ def test_factor_series_input(capsys, tmp_path):
     assert json.loads(out)["factors"] == [{"I": ["1"], "lam": {"1": 0}}]
 
 
+def test_factor_more_factors_than_the_cap(capsys, tmp_path):
+    payload = {"gcm": {"matrix": [[2]]}, "degree": 2,
+               "log_sum_of": [{"I": [1], "lam": {"1": 0}}] * 3}
+    code, out = run(capsys, tmp_path, "factor", payload)
+    assert code == 0
+    assert json.loads(out)["factors"] == [{"I": ["1"], "lam": {"1": 0}}] * 3
+
+
 def test_factor_refuses_oversized_marker(capsys, tmp_path):
     payload = {"gcm": A2, "degree": 2, "log_sum_of": [
         {"I": [1, 2], "lam": {"1": 3, "2": 3}}]}

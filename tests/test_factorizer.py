@@ -25,12 +25,14 @@ from kmfactor.errors import (
     NegativeLeadingCoefficient,
     NonzeroResidual,
     NotEquiconnectedCandidate,
+    TermLimit,
     TooManyFactors,
 )
-from kmfactor.factorizer import _select_candidate
+from kmfactor.factorizer import _peel, _select_candidate
 from kmfactor.series import Series
 from oracles import naive_select_candidate
 from test_folding import FIGURE1_CLASSES, figure1
+from test_series import WIDE_SHAPES, wide_key_series, wide_variables
 from kmfactor.folding import Partition
 
 
@@ -89,10 +91,41 @@ def test_disconnected_candidate_support(a3):
 
 
 def test_budget_exhaustion_raises(a1):
-    # three peelable layers under a cap of two
+    # three copies of (1;0) peel at once and leave -3/2 x1^2 behind
     total = Series.monomial(1, 2, (1,), 3)
-    with pytest.raises(NonzeroResidual):
+    with pytest.raises(NegativeLeadingCoefficient):
         peel_log_sum(a1, total)
+
+
+def test_more_factors_than_the_cap(a1):
+    # every marker fits under the cap, however many factors there are
+    isolated = validate_gcm([[2, 0], [0, 2]])
+    factors = [PVIndex((1,), (0,)), PVIndex((1,), (1,)), PVIndex((2,), (0,)), PVIndex((2,), (1,))]
+    result = peel_log_sum(isolated, log_sum(isolated, factors, 2))
+    assert Counter(result.factors) == Counter(factors)
+    pv = PVIndex((1,), (0,))
+    body = character(a1, pv, None, 2).body
+    result = recover_from_character_product(a1, body * body * body, 3)
+    assert result.factors == (pv,) * 3 and result.empty_count == 0
+
+
+def test_peel_refuses_partial_multiplicity(a1):
+    with pytest.raises(NonzeroResidual):
+        peel_log_sum(a1, Series.monomial(1, 2, (1,), Fraction(1, 2)))
+
+
+def test_peel_refuses_a_candidate_that_comes_back():
+    # a forged term that puts the first candidate back keeps the loop finite
+    terms = {(1,): Series(1, 2, {(1,): 1, (2,): -1}),
+             (2,): Series(1, 2, {(2,): 1, (1,): -1})}
+    with pytest.raises(NonzeroResidual, match="came back"):
+        _peel(Series.monomial(1, 2, (1,)), lambda beta: beta, lambda beta, cap: terms[beta])
+
+
+def test_peel_factor_budget(a1):
+    # a million copies of (1;0) at cap 1 are a valid sum, refused by size
+    with pytest.raises(TermLimit):
+        peel_log_sum(a1, Series.monomial(1, 1, (1,), 10**6))
 
 
 def test_determinism(b2):
@@ -268,6 +301,11 @@ def test_verify_inexact_offsets_refused():
 
 # -- candidate selection against its definition ----------------------------------
 
+def candidate(residual):
+    """The selected candidate as an exponent tuple."""
+    return residual._pack.exponent(_select_candidate(residual))
+
+
 @st.composite
 def log_sums(draw):
     """A sum of 1 to 5 log-numerators, or its negation, on a catalog matrix."""
@@ -287,7 +325,7 @@ def log_sums(draw):
 @settings(max_examples=60, deadline=None)
 @given(log_sums())
 def test_candidate_matches_naive_on_log_sums(total):
-    assert _select_candidate(total) == naive_select_candidate(total)
+    assert candidate(total) == naive_select_candidate(total)
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,4 +333,13 @@ def test_candidate_matches_naive_on_log_sums(total):
                        st.integers(-3, 3).filter(bool), min_size=1, max_size=12))
 def test_candidate_matches_naive_on_any_series(terms):
     s = Series(4, 12, terms)
-    assert _select_candidate(s) == naive_select_candidate(s)
+    assert candidate(s) == naive_select_candidate(s)
+
+
+@pytest.mark.parametrize("nvars,cap", WIDE_SHAPES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_candidate_matches_naive_on_wide_keys(nvars, cap, data):
+    used = data.draw(wide_variables(nvars))
+    s = data.draw(wide_key_series(nvars, cap, used).filter(lambda s: not s.is_zero))
+    assert candidate(s) == naive_select_candidate(s)

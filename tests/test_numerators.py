@@ -15,7 +15,8 @@ from kmfactor import (
     normalized_numerator,
     root_multiplicities,
 )
-from kmfactor.errors import DomainError
+from kmfactor import numerators
+from kmfactor.errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity
 from kmfactor.series import Series, support
 from oracles import convolution_multiplicities, geometric_log
 
@@ -205,3 +206,23 @@ def test_gap_below_marker():
         for exp, _ in L.items():
             if support(exp) == nodes:
                 assert all(x >= y for x, y in zip(exp, beta))
+
+
+def test_integrality_checks_on_forged_inputs(a1, monkeypatch):
+    # the checks read the stored numerators; feed them series no algebra gives
+    pv = PVIndex((1,), (1,))
+    for bad in (Fraction(1, 2), -1):
+        monkeypatch.setattr(numerators, "normalized_numerator", lambda cm, index, cap: (
+            Series(1, 3, {(0,): 1, (2,): bad}) if index == pv else Series.one(1, 3)))
+        with pytest.raises(NonIntegralCharacter, match=f"coefficient {bad} at exponent \\(2,\\)"):
+            character(a1, pv, None, 3)
+    monkeypatch.undo()
+    forged = {Fraction(1, 2): {(1,): Fraction(1, 2)}, -1: {(1,): 1, (2,): Fraction(-1, 2)}}
+    for value, terms in forged.items():
+        monkeypatch.setattr(numerators, "log_numerator", lambda cm, index, cap: Series(1, 4, terms))
+        with pytest.raises(NonIntegralMultiplicity, match=f"value {value} at exponent"):
+            root_multiplicities(a1, 4)
+    # x + x^2/2 is -log(1 - x): the base (1,) accounts for all of (2,)
+    monkeypatch.setattr(numerators, "log_numerator", lambda cm, index, cap: Series(
+        1, 4, {(1,): 1, (2,): Fraction(1, 2), (4,): Fraction(1, 4)}))
+    assert root_multiplicities(a1, 4) == {(1,): 1}

@@ -1,13 +1,17 @@
+import ast
 import copy
 import math
+import os
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmfactor.errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
 from kmfactor.folding import Partition
+from kmfactor import series as series_module
 from kmfactor.series import Series, degree, support
 from oracles import naive_add, naive_fold, naive_invert, naive_log1, naive_mul, naive_scale
 
@@ -44,6 +48,30 @@ def test_normalization_drops_zero_and_overcap():
     s = series(2, 3, {(1, 0): 0, (2, 2): 5, (0, 1): Fraction(1, 2)})
     assert s.items() == [((0, 1), Fraction(1, 2))]
     assert s.coefficient((2, 2)) == 0
+
+
+def test_coefficient_never_aliases():
+    s = series(3, 2, {(1, 0, 0): 5})
+    assert s.coefficient((1, 0, 0)) == 5
+    # (0, 4, -3) packs to the radix-3 key of (1, 0, 0), and (0, 9, -8) to its
+    # key in 3-bit fields; neither is stored, and neither are the rest
+    for exp in ((0, 4, -3), (0, 9, -8), (1, 0), (1, 0, 0, 0), (-1, 1, 0),
+                (3, 0, 0), (2, 1, 0), (0, 0, 0), ()):
+        assert s.coefficient(exp) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.data())
+def test_coefficient_matches_stored_terms(nvars, cap, data):
+    s = data.draw(wide_series(nvars, cap))
+    stored = dict(s.items())
+    for _ in range(10):
+        length = data.draw(st.integers(max(0, nvars - 1), nvars + 1))
+        exp = tuple(data.draw(st.lists(st.integers(-cap - 2, 2 * cap + 2),
+                                       min_size=length, max_size=length)))
+        assert s.coefficient(exp) == stored.get(exp, 0)
+    for exp, c in stored.items():
+        assert s.coefficient(exp) == c
 
 
 def test_bad_exponents_rejected():
@@ -340,6 +368,41 @@ def test_dense_work_budget():
     assert len(sparse.invert()) == 21
 
 
+@settings(max_examples=60, deadline=None)
+@given(wide_series(), wide_series())
+def test_pair_budget_predicts_visited_pairs(a, b):
+    # the loop visits the pairs of terms whose degrees fit under the cap together
+    pairs = sum(1 for ea in a.exponents() for eb in b.exponents() if sum(ea) + sum(eb) <= a.cap)
+    with mock.patch.object(series_module, "_PAIR_LIMIT", pairs):
+        assert a * b == naive_mul(a, b)
+    if pairs:
+        with mock.patch.object(series_module, "_PAIR_LIMIT", pairs - 1):
+            with pytest.raises(TermLimit):
+                a * b
+
+
+def test_product_pair_budget():
+    dense = Series(1, 5000, {(i,): 1 for i in range(5001)})
+    with pytest.raises(TermLimit):
+        dense * dense  # 12.5 million pairs
+    assert len(dense * Series.monomial(1, 5000, (4999,))) == 2
+
+
+def test_public_helpers_are_left_to_the_tracer():
+    # perfbench/tracer.py wraps every public kmfactor function except its
+    # per-term helpers, so a new public helper here would be timed per term
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    helpers = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "_PER_TERM_HELPERS")
+    public = {name for name, value in vars(series_module).items()
+              if not name.startswith("_") and callable(value) and not isinstance(value, type)
+              and getattr(value, "__module__", None) == "kmfactor.series"}
+    assert public and public <= helpers
+
+
 # -- fold --------------------------------------------------------------------------------
 
 def test_fold_cancellation():
@@ -393,3 +456,57 @@ def test_log_integer_path_matches_generic(terms):
     a = Series(2, 6, terms)
     shifted = Series(2, 6, {e: Fraction(c) * Fraction(1, 1) for e, c in a.items()})
     assert a.log1() == naive_log1(shifted)
+
+
+# -- wide keys ------------------------------------------------------------------------
+
+# At these shapes every field is 6 bits wide and the degree digit starts at
+# bit 66 or 72, so every key but the constant one exceeds 2**64.
+WIDE_SHAPES = [(11, 16), (12, 20)]
+
+
+def wide_variables(nvars):
+    """At most 3 of the variables, so that a quotient stays under the term budget."""
+    return st.lists(st.integers(0, nvars - 1), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def wide_key_series(draw, nvars, cap, used, unit=False):
+    """Up to 4 terms on the variables ``used``, each of degree at least
+    cap // 4, so that products and the naive power sums stay small."""
+
+    def exponent(coords):
+        e = [0] * nvars
+        for i, x in zip(used, coords):
+            e[i] = x
+        return tuple(e)
+
+    exps = st.lists(st.integers(0, cap // len(used)), min_size=len(used),
+                    max_size=len(used)).map(exponent).filter(lambda e: sum(e) >= cap // 4)
+    terms = draw(st.dictionaries(exps, wide_coeffs.filter(bool), max_size=4))
+    if unit:
+        terms[(0,) * nvars] = 1
+    return Series(nvars, cap, terms)
+
+
+@pytest.mark.parametrize("nvars,cap", WIDE_SHAPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_wide_keys_match_naive(nvars, cap, data):
+    used = data.draw(wide_variables(nvars))
+    a = data.draw(wide_key_series(nvars, cap, used))
+    b = data.draw(wide_key_series(nvars, cap, used))
+    unit = data.draw(wide_key_series(nvars, cap, used, unit=True))
+    q = data.draw(wide_coeffs)
+    assert a + b == naive_add(a, b)
+    assert a - b == naive_add(a, b, -1)
+    assert a.scale(q) == naive_scale(a, q)
+    assert a * b == naive_mul(a, b)
+    assert unit.log1() == naive_log1(unit)
+    inverse = naive_invert(unit)
+    assert unit.invert() == inverse
+    assert a.divide(unit) == naive_mul(a, inverse)
+    partition = data.draw(partitions(nvars))
+    assert a.fold(partition) == naive_fold(a, partition.classes)
+    for s in (a, b, unit):
+        assert s.items() == Series(nvars, cap, s.items()).items()
