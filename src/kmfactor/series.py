@@ -55,7 +55,6 @@ Products, logarithms, inverses and exact quotients run on the stored keys:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -277,15 +276,18 @@ class Series:
         self._check_compatible(other)
         a = sorted(self._terms.items())
         b = sorted(other._terms.items())
-        # the terms of a of degree d meet the b terms of degree <= cap - d,
-        # a prefix of b in term order
+        # the terms a[i:j] of degree d meet the b terms of degree <= cap - d,
+        # the prefix b[:room] in term order
         shift, cap = self._pack.shift, self.cap
         runs: list[tuple[int, int, int]] = []
-        i, pairs = 0, 0
+        i, room, pairs = 0, len(b), 0
         while i < len(a):
             d = a[i][0] >> shift
-            j = bisect_left(a, ((d + 1) << shift,), i)
-            room = bisect_left(b, ((cap + 1 - d) << shift,))
+            j = i + 1
+            while j < len(a) and a[j][0] >> shift == d:
+                j += 1
+            while room and b[room - 1][0] >> shift > cap - d:
+                room -= 1
             runs.append((i, j, room))
             pairs += (j - i) * room
             i = j
