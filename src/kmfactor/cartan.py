@@ -85,10 +85,11 @@ class CartanMatrix(_Frozen):
     d with d_i * entry(i, j) == d_j * entry(j, i) for all i, j.  Construct
     instances through :func:`validate_gcm`.  The hash is computed once, from
     the rows and labels, since every cache lookup in the package hashes the
-    matrix.
+    matrix.  So are the adjacency masks behind the connectivity test: bit
+    j-1 of the i-th mask is set when node j is a neighbour of node i.
     """
 
-    __slots__ = ("rows", "labels", "symmetrizer", "_hash")
+    __slots__ = ("rows", "labels", "symmetrizer", "_hash", "_adjacency")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
                  symmetrizer: tuple[Fraction, ...]):
@@ -96,6 +97,9 @@ class CartanMatrix(_Frozen):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "symmetrizer", symmetrizer)
         object.__setattr__(self, "_hash", hash((rows, labels)))
+        object.__setattr__(self, "_adjacency", tuple(
+            sum(1 << j for j, v in enumerate(row) if v and j != i)
+            for i, row in enumerate(rows)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -135,6 +139,22 @@ class CartanMatrix(_Frozen):
                 raise DomainError(f"node {x} listed twice")
             seen.add(x)
         return tuple(sorted(seen))
+
+    def _connected(self, nodes: Iterable[int]) -> bool:
+        """:func:`is_connected` for nodes known to be valid and distinct,
+        searched on a node bitmask with bit i-1 for node i."""
+        mask = sum(1 << (i - 1) for i in nodes)
+        adjacency = self._adjacency
+        reached = frontier = mask & -mask
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= adjacency[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & mask & ~reached
+            reached |= frontier
+        return reached == mask != 0
 
 
 def validate_gcm(matrix: Sequence[Sequence[int]],
@@ -232,4 +252,4 @@ def connected_components(cm: CartanMatrix, nodes: Iterable[int]) -> list[tuple[i
 
 def is_connected(cm: CartanMatrix, nodes: Iterable[int]) -> bool:
     """Whether the set is nonempty and induces a connected Dynkin subgraph."""
-    return len(connected_components(cm, nodes)) == 1
+    return cm._connected(cm.check_nodes(nodes))

@@ -11,15 +11,21 @@ selected factor that many times cancels every copy of it, and the loop
 terminates with a zero residual precisely when the input was such a sum.
 The folded variant runs the same loop in class variables, decoding markers
 through lean-lift counts.
+
+The loop keeps its residual in one dict of numerators over one
+denominator and subtracts each peeled log-numerator in place, so a step
+builds no series; the decoders test connectivity on node bitmasks.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 from itertools import compress
 from typing import Callable, Sequence
 
-from .cartan import CartanMatrix, _Frozen, is_connected
+from .cartan import CartanMatrix, _Frozen
 from .errors import (
     DisconnectedCandidateSupport,
     DivisibilityFailure,
@@ -50,25 +56,56 @@ class FactorizationResult(_Frozen):
     __slots__ = ("factors", "empty_count", "residual_zero", "certified_degree")
 
 
-def _select_candidate(residual: Series) -> int:
-    """Key of the deterministic peel candidate: support-maximal, then minimal.
+class _Residual:
+    """The running residual of a peel, changed in place.
 
-    Among stored exponents, keep those whose support is not strictly
-    contained in another stored support, break ties by lexicographically
-    smallest sorted support; within that support take the lexicographically
-    smallest exponent, which is componentwise minimal among them.  The
-    support of each key is read once, with three integer operations, and
-    the distinct supports are compared with each other.  A support mask
-    holds the first coordinate's bit highest, so among supports none of
-    which contains another the lexicographically smallest is the largest
-    mask; the low fields of a key read in lexicographic order.
+    ``terms`` maps packed keys to numerators over the one denominator
+    ``den``, which grows only when a subtracted series' denominator does not
+    divide it; numerators are not reduced against it.
     """
-    pack = residual._pack
-    keys = residual._terms.keys()
-    masks = list(pack.supports(keys))
-    distinct = set(masks)
-    maximal = max(m for m in distinct if not any(m | o == o != m for o in distinct))
-    return min(compress(keys, map(maximal.__eq__, masks)), key=pack.lex.__and__)
+
+    __slots__ = ("terms", "den", "pack")
+
+    def __init__(self, total: Series):
+        self.terms = dict(total._terms)
+        self.den = total._den
+        self.pack = total._pack
+
+    def candidate(self) -> int:
+        """Key of the deterministic peel candidate: support-maximal, then minimal.
+
+        Among stored exponents, keep those whose support is not strictly
+        contained in another stored support, break ties by lexicographically
+        smallest sorted support; within that support take the
+        lexicographically smallest exponent, which is componentwise minimal
+        among them.  The support of a key is read with three integer
+        operations into a mask that holds the first coordinate's bit
+        highest.  A strict superset has the larger mask, and among supports
+        none of which contains another the lexicographically smallest has
+        the largest mask, so the largest mask is the chosen support.  The
+        low fields of a key read in lexicographic order.
+        """
+        pack, keys = self.pack, self.terms.keys()
+        masks = list(pack.supports(keys))
+        return min(compress(keys, map(max(masks).__eq__, masks)), key=pack.lex.__and__)
+
+    def subtract(self, t: Series, m: int) -> None:
+        """Subtract ``m`` times ``t``, a series of the same shape."""
+        terms = self.terms
+        if self.den % t._den:
+            den = math.lcm(self.den, t._den)
+            lift = den // self.den
+            for key, n in terms.items():
+                terms[key] = n * lift
+            self.den = den
+        step = m * (self.den // t._den)
+        get = terms.get
+        for key, n in t._terms.items():
+            acc = get(key, 0) - n * step
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
 
 
 def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResult:
@@ -82,33 +119,34 @@ def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResul
     or a candidate that was already peeled and comes back, means the input
     is no such sum.  Every step removes one candidate for good, so the loop
     ends after at most as many steps as there are exponents under the cap;
-    a result of more than ``_DENSE_TERM_LIMIT`` factors is refused.
+    a result of more than ``_DENSE_TERM_LIMIT`` factors is refused.  The
+    loop runs on one :class:`_Residual`, so a step builds no series.
     """
     cap = total.cap
-    residual = total
+    residual = _Residual(total)
     factors: list[PVIndex] = []
     peeled: set[int] = set()
-    while not residual.is_zero:
-        key = _select_candidate(residual)
-        candidate = residual._pack.exponent(key)
-        coeff = residual._terms[key]
+    while residual.terms:
+        key = residual.candidate()
+        candidate = residual.pack.exponent(key)
+        coeff = residual.terms[key]
         if coeff <= 0:
             raise NegativeLeadingCoefficient(
-                f"coefficient {residual.coefficient(candidate)} at candidate {candidate}")
+                f"coefficient {Fraction(coeff, residual.den)} at candidate {candidate}")
         if key in peeled:
             raise NonzeroResidual(f"candidate {candidate} came back after it was peeled")
         pv = decode(candidate)
         t = term(pv, cap)
         marker = t._terms.get(key, 0)
-        m, r = divmod(coeff * t._den, residual._den * marker) if marker > 0 else (0, 1)
+        m, r = divmod(coeff * t._den, residual.den * marker) if marker > 0 else (0, 1)
         if r or m < 1:
             raise NonzeroResidual(
-                f"coefficient {residual.coefficient(candidate)} at candidate {candidate} "
+                f"coefficient {Fraction(coeff, residual.den)} at candidate {candidate} "
                 f"is no whole multiple of the marker coefficient {t.coefficient(candidate)}")
         if len(factors) + m > _DENSE_TERM_LIMIT:
             raise TermLimit(f"{len(factors) + m} factors exceed the budget of "
                             f"{_DENSE_TERM_LIMIT}")
-        residual = residual - (t if m == 1 else t.scale(m))
+        residual.subtract(t, m)
         factors += [pv] * m
         peeled.add(key)
     return FactorizationResult(tuple(factors), 0, True, cap)
@@ -127,7 +165,7 @@ def peel_log_sum(cm: CartanMatrix, total: Series) -> FactorizationResult:
 
     def decode(beta: tuple[int, ...]) -> PVIndex:
         nodes = support(beta)
-        if not is_connected(cm, nodes):
+        if not cm._connected(nodes):
             raise DisconnectedCandidateSupport(f"candidate {beta} has support {list(nodes)}")
         return PVIndex(nodes, tuple(beta[i - 1] - 1 for i in nodes))
 
@@ -178,10 +216,11 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
     if total.constant_term:
         raise DomainError("a folded sum of log-numerators has zero constant term")
 
+    classes = ctx.partition.classes
+
     def decode(gamma: tuple[int, ...]) -> PVIndex:
-        nodes = tuple(sorted(
-            i for c in support(gamma) for i in ctx.partition.classes[c - 1]))
-        if not is_connected(ctx.cm, nodes):
+        nodes = tuple(sorted(i for c in support(gamma) for i in classes[c - 1]))
+        if not ctx.cm._connected(nodes):
             raise NotEquiconnectedCandidate(
                 f"class union {list(nodes)} of candidate {gamma} is disconnected")
         try:
@@ -191,7 +230,7 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
         if data.lean_counts is None:
             raise NotEquiconnectedCandidate(
                 f"class union {list(nodes)} of candidate {gamma} is not equiconnected")
-        class_pairings: dict[int, int] = {}
+        pairings: dict[int, int] = {}
         for c, m in zip(data.class_indices, data.lean_counts):
             value = gamma[c]
             q, r = divmod(value, m)
@@ -199,8 +238,8 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
                 raise DivisibilityFailure(
                     f"coordinate {value} at class {c + 1} is not a positive "
                     f"multiple of the lean-lift count {m}")
-            class_pairings[c] = q - 1
-        return ctx.symmetric_index(nodes, class_pairings)
+            pairings.update(dict.fromkeys(classes[c], q - 1))
+        return PVIndex(nodes, [pairings[i] for i in nodes])
 
     return _peel(total, decode, ctx.fold_log_numerator)
 

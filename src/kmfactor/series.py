@@ -25,11 +25,13 @@ one common denominator:
   so that zero numerators are never stored and gcd(den, every numerator) is
   1.  That form is unique, so equality is exact term-map equality.
 
-Exponent tuples and ``Fraction``s appear only at the edges: the
+Exponent tuples and coefficients appear only at the edges: the
 constructor's input, ``coefficient``, ``constant_term``, ``exponents``,
-``items`` and ``text``.  Sums, differences, negation and scaling work on
-the stored keys and numerators after bringing the denominators to their
-lcm; ``fold`` re-packs each key through a per-class digit map.
+``items`` and ``text``.  A coefficient is an ``int`` when the denominator
+is 1 and a ``Fraction`` otherwise; both are exact and print alike.  Sums,
+differences, negation and scaling work on the stored keys and numerators
+after bringing the denominators to their lcm; ``fold`` re-packs each key
+through a per-class digit map.
 
 All operations are pure, truncate at the common cap, and report terms in
 term order, so results are deterministic.
@@ -46,8 +48,10 @@ Products, logarithms, inverses and exact quotients run on the stored keys:
   log-derivative recurrence of Brent and Kung) and the slots are scaled by
   lcm(1..cap), which keeps every division by a degree exact.
 * Work budgets.  Those three produce dense output, so they refuse up front,
-  with :class:`TermLimit`, any job whose possible terms, C(cap+m, m) over
-  the m variables the operands use, exceed ``_DENSE_TERM_LIMIT``.  A
+  with :class:`TermLimit`, any job whose possible terms exceed
+  ``_DENSE_TERM_LIMIT``: C(cap+m, m) over the m variables the operands use,
+  or for a quotient, if fewer, the sum over the numerator's terms e of
+  C(cap-deg(e)+m_u, m_u) over the m_u variables of the divisor.  A
   product counts the pairs its loop will visit from the two degree
   histograms and refuses more than ``_PAIR_LIMIT``.
 """
@@ -134,6 +138,14 @@ class _Packing:
 _packing = lru_cache(maxsize=256)(_Packing)
 
 
+def _quotient_bound(cap: int, unit_vars: int, degrees: Iterable[int]) -> int:
+    """Most terms a quotient num / (1+u) can have, given the degrees of the
+    terms of num: each of its terms is e + g for a term e of num and a
+    monomial g of degree at most cap - deg(e) in the unit_vars variables
+    that u uses."""
+    return sum(math.comb(cap - d + unit_vars, unit_vars) for d in degrees)
+
+
 class Series:
     """Immutable sparse truncated series; see the module docstring."""
 
@@ -188,18 +200,22 @@ class Series:
 
     # -- inspection ------------------------------------------------------
 
-    def coefficient(self, exponent: Sequence[int]) -> Fraction:
+    def _value(self, numerator: int) -> int | Fraction:
+        """A stored numerator as a coefficient: an int over denominator 1."""
+        return numerator if self._den == 1 else Fraction(numerator, self._den)
+
+    def coefficient(self, exponent: Sequence[int]) -> int | Fraction:
         """Coefficient at ``exponent``; 0 for any exponent not stored, including
         ones of the wrong length, with a negative coordinate or over the cap."""
         exp = tuple(exponent)
         if (len(exp) != self.nvars or not all(isinstance(e, int) and e >= 0 for e in exp)
                 or sum(exp) > self.cap):
-            return Fraction(0)
-        return Fraction(self._terms.get(self._pack.key(exp), 0), self._den)
+            return self._value(0)
+        return self._value(self._terms.get(self._pack.key(exp), 0))
 
     @property
-    def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get(0, 0), self._den)
+    def constant_term(self) -> int | Fraction:
+        return self._value(self._terms.get(0, 0))
 
     @property
     def is_zero(self) -> bool:
@@ -208,12 +224,12 @@ class Series:
     def exponents(self) -> list[Exponent]:
         return list(map(self._pack.exponent, sorted(self._terms)))
 
-    def items(self) -> list[tuple[Exponent, Fraction]]:
+    def items(self) -> list[tuple[Exponent, int | Fraction]]:
         """Terms in canonical order."""
-        terms, den, exponent = self._terms, self._den, self._pack.exponent
-        return [(exponent(k), Fraction(terms[k], den)) for k in sorted(terms)]
+        terms, exponent, value = self._terms, self._pack.exponent, self._value
+        return [(exponent(k), value(terms[k])) for k in sorted(terms)]
 
-    def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Exponent, int | Fraction]]:
         return iter(self.items())
 
     def __len__(self) -> int:
@@ -350,14 +366,16 @@ class Series:
         u = sorted(item for item in self._terms.items() if item[0])
         if not u:
             return Series.zero(nvars, cap) if num is None else num
-        fields = reduce(or_, self._terms, 0)  # a coordinate in use is nonzero here
-        if num is not None:
-            fields = reduce(or_, num._terms, fields)
-        used = next(pack.supports((fields,))).bit_count()
-        if math.comb(cap + used, used) > _DENSE_TERM_LIMIT:
-            raise TermLimit(f"up to C({cap}+{used}, {used}) terms exceed the "
-                            f"budget of {_DENSE_TERM_LIMIT}")
         shift = pack.shift
+        unit_fields = reduce(or_, self._terms)  # a coordinate in use is nonzero here
+        fields = unit_fields if num is None else reduce(or_, num._terms, unit_fields)
+        used = next(pack.supports((fields,))).bit_count()
+        bound = math.comb(cap + used, used)
+        if bound > _DENSE_TERM_LIMIT and num is not None:
+            unit_vars = next(pack.supports((unit_fields,))).bit_count()
+            bound = min(bound, _quotient_bound(cap, unit_vars, (k >> shift for k in num._terms)))
+        if bound > _DENSE_TERM_LIMIT:
+            raise TermLimit(f"up to {bound} terms exceed the budget of {_DENSE_TERM_LIMIT}")
         grade = self._den
         unit = [(k, c * grade ** ((k >> shift) - 1)) for k, c in u]  # x -> grade*x
         buckets: list[dict[int, int]] = [{} for _ in range(cap + 1)]

@@ -5,10 +5,11 @@ package: term-by-term sums, scaling and folding on the Fractions of
 ``items()``, definitional power sums for log/inverse built on them,
 pairwise convolution for products, the root-multiplicity convolution
 recurrence driven by the invariant bilinear form, brute-force graph search,
-the dominance order on indices that the peel loop must respect, and the
-peel candidate by its definition.  Nothing imports the
-code paths under test beyond the plain Series container and validated
-matrices.
+the dominance order on indices that the peel loop must respect, the
+peel candidate by its definition, and the peel loop on immutable series
+with decoders that test connectivity on node tuples.  Nothing imports the
+code paths under test beyond the plain Series container, validated
+matrices and, for the folded decoder, a FoldContext's lift data.
 """
 
 from __future__ import annotations
@@ -17,7 +18,18 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
-from kmfactor.series import Series
+from kmfactor.cartan import connected_components
+from kmfactor.errors import (
+    DisconnectedCandidateSupport,
+    DivisibilityFailure,
+    NegativeLeadingCoefficient,
+    NoLift,
+    NonzeroResidual,
+    NotEquiconnectedCandidate,
+    TermLimit,
+)
+from kmfactor.series import _DENSE_TERM_LIMIT, Series
+from kmfactor.weyl import PVIndex
 
 
 # -- definitional series arithmetic ---------------------------------------------
@@ -208,6 +220,75 @@ def naive_select_candidate(residual: Series) -> tuple[int, ...]:
                if not any(o != e and all(x <= y for x, y in zip(o, e))
                           for o in pool)]
     return min(minimal)
+
+
+def naive_peel(total: Series, decode, term) -> tuple:
+    """The peel loop on immutable series: the candidate by its definition,
+    the multiplicity as a quotient of coefficients, and a new residual by
+    series subtraction at every step.  Returns the factors in peel order and
+    raises what the package's loop raises, with the same messages."""
+    residual, factors, peeled = total, [], set()
+    while not residual.is_zero:
+        candidate = naive_select_candidate(residual)
+        coeff = residual.coefficient(candidate)
+        if coeff <= 0:
+            raise NegativeLeadingCoefficient(f"coefficient {coeff} at candidate {candidate}")
+        if candidate in peeled:
+            raise NonzeroResidual(f"candidate {candidate} came back after it was peeled")
+        pv = decode(candidate)
+        t = term(pv, total.cap)
+        marker = t.coefficient(candidate)
+        m = Fraction(coeff) / marker if marker > 0 else Fraction(0)
+        if m.denominator != 1 or m < 1:
+            raise NonzeroResidual(
+                f"coefficient {coeff} at candidate {candidate} "
+                f"is no whole multiple of the marker coefficient {marker}")
+        m = int(m)
+        if len(factors) + m > _DENSE_TERM_LIMIT:
+            raise TermLimit(f"{len(factors) + m} factors exceed the budget of "
+                            f"{_DENSE_TERM_LIMIT}")
+        residual = residual - t.scale(m)
+        factors += [pv] * m
+        peeled.add(candidate)
+    return tuple(factors)
+
+
+def naive_plain_decoder(cm):
+    """A candidate's support is the factor's node set, connected by search."""
+    def decode(beta):
+        nodes = tuple(i for i, e in enumerate(beta, start=1) if e)
+        if len(connected_components(cm, nodes)) != 1:
+            raise DisconnectedCandidateSupport(f"candidate {beta} has support {list(nodes)}")
+        return PVIndex(nodes, tuple(beta[i - 1] - 1 for i in nodes))
+    return decode
+
+
+def naive_folded_decoder(ctx):
+    """A candidate's classes give a connected, equiconnected class union;
+    each coordinate is q times its lean-lift count, with pairing q - 1."""
+    def decode(gamma):
+        nodes = tuple(sorted(i for c, e in enumerate(gamma) if e
+                             for i in ctx.partition.classes[c]))
+        if len(connected_components(ctx.cm, nodes)) != 1:
+            raise NotEquiconnectedCandidate(
+                f"class union {list(nodes)} of candidate {gamma} is disconnected")
+        try:
+            data = ctx.lift_data(nodes)
+        except NoLift as exc:
+            raise NotEquiconnectedCandidate(str(exc)) from exc
+        if data.lean_counts is None:
+            raise NotEquiconnectedCandidate(
+                f"class union {list(nodes)} of candidate {gamma} is not equiconnected")
+        class_pairings = {}
+        for c, m in zip(data.class_indices, data.lean_counts):
+            q, r = divmod(gamma[c], m)
+            if r or q < 1:
+                raise DivisibilityFailure(
+                    f"coordinate {gamma[c]} at class {c + 1} is not a positive "
+                    f"multiple of the lean-lift count {m}")
+            class_pairings[c] = q - 1
+        return ctx.symmetric_index(nodes, class_pairings)
+    return decode
 
 
 # -- brute-force graph helpers -----------------------------------------------------

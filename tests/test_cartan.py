@@ -93,6 +93,23 @@ def test_components_empty(a2):
     assert not is_connected(a2, ())
 
 
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_mask_connectivity_matches_components(name):
+    # every node subset, unchecked and checked
+    cm = validate_gcm(MATRICES[name])
+    for mask in range(1 << cm.n):
+        nodes = tuple(i for i in cm.nodes() if mask >> (i - 1) & 1)
+        expect = len(connected_components(cm, nodes)) == 1
+        assert cm._connected(nodes) == expect
+        assert is_connected(cm, nodes) == expect
+
+
+def test_is_connected_checks_nodes(a2):
+    for bad in ((0,), (3,), (1, 1), (1.0,)):
+        with pytest.raises(DomainError):
+            is_connected(a2, bad)
+
+
 def test_figure2_graph_connected():
     # 9-node path graph; classes from the folded fixtures live elsewhere
     n = 9

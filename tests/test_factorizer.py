@@ -1,5 +1,7 @@
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,8 @@ from kmfactor import (
     FoldContext,
     PVIndex,
     character,
+    check_automorphism,
+    is_connected,
     log_numerator,
     orbit_partition,
     peel_folded,
@@ -28,9 +32,15 @@ from kmfactor.errors import (
     TermLimit,
     TooManyFactors,
 )
-from kmfactor.factorizer import _peel, _select_candidate
+from kmfactor.factorizer import _peel, _Residual
 from kmfactor.series import Series
-from oracles import naive_select_candidate
+from oracles import (
+    brute_automorphisms,
+    naive_folded_decoder,
+    naive_peel,
+    naive_plain_decoder,
+    naive_select_candidate,
+)
 from test_folding import FIGURE1_CLASSES, figure1
 from test_series import WIDE_SHAPES, wide_key_series, wide_variables
 from kmfactor.folding import Partition
@@ -303,12 +313,12 @@ def test_verify_inexact_offsets_refused():
 
 def candidate(residual):
     """The selected candidate as an exponent tuple."""
-    return residual._pack.exponent(_select_candidate(residual))
+    return residual._pack.exponent(_Residual(residual).candidate())
 
 
 @st.composite
-def log_sums(draw):
-    """A sum of 1 to 5 log-numerators, or its negation, on a catalog matrix."""
+def plain_sums(draw):
+    """A catalog matrix and a sum of 1 to 5 of its log-numerators."""
     cm = cartan(draw(st.sampled_from(("A2", "A3", "B2", "G2", "A1aff", "A2aff",
                                       "C2aff", "mixed3"))))
     subsets = all_connected_subsets(cm)
@@ -318,7 +328,13 @@ def log_sums(draw):
         pairings = draw(st.lists(st.integers(0, 2), min_size=len(nodes), max_size=len(nodes)))
         factors.append(PVIndex(nodes, tuple(pairings)))
     cap = max(sum(p + 1 for p in pv.pairings) for pv in factors) + draw(st.integers(0, 2))
-    total = log_sum(cm, factors, cap)
+    return cm, log_sum(cm, factors, cap)
+
+
+@st.composite
+def log_sums(draw):
+    """A sum of 1 to 5 log-numerators, or its negation, on a catalog matrix."""
+    _, total = draw(plain_sums())
     return -total if draw(st.booleans()) else total
 
 
@@ -343,3 +359,125 @@ def test_candidate_matches_naive_on_wide_keys(nvars, cap, data):
     used = data.draw(wide_variables(nvars))
     s = data.draw(wide_key_series(nvars, cap, used).filter(lambda s: not s.is_zero))
     assert candidate(s) == naive_select_candidate(s)
+
+
+# -- the peel loop against the series-based oracle loop -------------------------------
+
+def outcome(peel, *args):
+    """Factors in peel order, or the refusal's type and message."""
+    try:
+        result = peel(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return result.factors if isinstance(result, FactorizationResult) else result
+
+
+def spoiled(draw, total):
+    """The sum as drawn, negated, at a partial multiplicity, or with one
+    unit term added at an arbitrary exponent."""
+    how = draw(st.sampled_from(("valid", "negated", "partial", "perturbed")))
+    if how == "negated":
+        return -total
+    if how == "partial":
+        return total.scale(draw(st.sampled_from((Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)))))
+    if how == "perturbed":
+        exp = draw(st.tuples(*(st.integers(0, 2) for _ in range(total.nvars))).filter(any))
+        return total + Series.monomial(total.nvars, total.cap, exp, draw(st.sampled_from((-1, 1))))
+    return total
+
+
+@st.composite
+def folded_sums(draw):
+    """A fold context from one automorphism of a catalog matrix and a folded
+    sum of 1 to 4 of its symmetric log-numerators."""
+    cm = cartan(draw(st.sampled_from(("A2", "A3", "A1aff", "A2aff", "C2aff", "A3aff", "D4"))))
+    images = draw(st.sampled_from(brute_automorphisms(cm)))
+    ctx = FoldContext(cm, orbit_partition(cm, [check_automorphism(cm, images)]))
+    classes = ctx.partition.classes
+    unions = []
+    for mask in range(1, 1 << len(classes)):
+        nodes = tuple(sorted(i for c, part in enumerate(classes) if mask >> c & 1 for i in part))
+        if is_connected(cm, nodes) and ctx.lift_data(nodes).lean_counts is not None:
+            unions.append(nodes)
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = draw(st.sampled_from(unions))
+        data = ctx.lift_data(nodes)
+        factors.append(ctx.symmetric_index(nodes, {c: draw(st.integers(0, 2))
+                                                   for c in data.class_indices}))
+    cap = max(sum(ctx.marker_exponent(pv)) for pv in factors) + draw(st.integers(0, 2))
+    total = Series.zero(len(classes), cap)
+    for pv in factors:
+        total = total + ctx.fold_log_numerator(pv, cap)
+    return ctx, total
+
+
+def spoiled(draw, total):
+    """The sum as drawn, negated, at a partial multiplicity, or with one
+    unit term added at an arbitrary exponent."""
+    how = draw(st.sampled_from(("valid", "negated", "partial", "perturbed")))
+    if how == "negated":
+        return -total
+    if how == "partial":
+        return total.scale(draw(st.sampled_from((Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)))))
+    if how == "perturbed":
+        exp = draw(st.tuples(*(st.integers(0, 2) for _ in range(total.nvars))).filter(any))
+        return total + Series.monomial(total.nvars, total.cap, exp, draw(st.sampled_from((-1, 1))))
+    return total
+
+
+def outcome(peel, *args):
+    """Factors in peel order, or the refusal's type and message."""
+    try:
+        result = peel(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else result.factors
+
+
+@settings(max_examples=80, deadline=None)
+@given(plain_sums(), st.data())
+def test_peel_matches_naive_loop(case, data):
+    cm, total = case
+    total = spoiled(data.draw, total)
+    expect = outcome(naive_peel, total, naive_plain_decoder(cm), partial(log_numerator, cm))
+    assert outcome(peel_log_sum, cm, total) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_sums(), st.data())
+def test_folded_peel_matches_naive_loop(case, data):
+    ctx, total = case
+    total = spoiled(data.draw, total)
+    expect = outcome(naive_peel, total, naive_folded_decoder(ctx), ctx.fold_log_numerator)
+    assert outcome(peel_folded, ctx, total) == expect
+
+
+def test_returning_candidate_matches_naive_loop():
+    terms = {(1,): Series(1, 2, {(1,): 1, (2,): -1}),
+             (2,): Series(1, 2, {(2,): 1, (1,): -1})}
+    args = (Series.monomial(1, 2, (1,)), lambda beta: beta, lambda beta, cap: terms[beta])
+    expect = outcome(naive_peel, *args)
+    assert expect[0] is NonzeroResidual and "came back" in expect[1]
+    assert outcome(_peel, *args) == expect
+
+
+def test_peel_builds_no_series(a3):
+    # the residual is one accumulator changed in place, whatever the sum
+    factors = [PVIndex((1, 2, 3), (0, 1, 0)), PVIndex((1, 2), (1, 0)),
+               PVIndex((2, 3), (0, 0)), PVIndex((2, 3), (0, 0))]
+    total = log_sum(a3, factors, 8)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(Series, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return mock.patch.object(Series, name, wrapper)
+
+    with counted("__sub__"), counted("_combine"), counted("_reduced"):
+        result = peel_log_sum(a3, total)
+    assert Counter(result.factors) == Counter(factors)
+    assert calls == Counter()

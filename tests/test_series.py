@@ -1,5 +1,6 @@
 import ast
 import copy
+import itertools
 import math
 import os
 import pickle
@@ -48,6 +49,24 @@ def test_normalization_drops_zero_and_overcap():
     s = series(2, 3, {(1, 0): 0, (2, 2): 5, (0, 1): Fraction(1, 2)})
     assert s.items() == [((0, 1), Fraction(1, 2))]
     assert s.coefficient((2, 2)) == 0
+
+
+def test_coefficients_are_ints_over_denominator_one():
+    whole = series(2, 3, {(1, 0): 2, (0, 1): Fraction(-6, 3), (0, 0): 1})
+    half = series(2, 3, {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 1})
+    for s, kind in ((whole, int), (half, Fraction)):
+        assert {type(c) for _, c in s.items()} == {kind}
+        assert {type(c) for _, c in s} == {kind}
+        assert type(s.coefficient((1, 0))) is kind
+        assert type(s.coefficient((2, 1))) is kind  # not stored
+        assert type(s.coefficient((9, 9))) is kind  # over the cap
+        assert type(s.constant_term) is kind
+        assert type((s - Series.one(2, 3)).constant_term) is kind
+    assert whole.items() == [((0, 0), 1), ((0, 1), -2), ((1, 0), 2)]
+    assert half.items() == [((0, 0), 1), ((0, 1), Fraction(1, 2)), ((1, 0), 2)]
+    # an int prints like the Fraction it equals
+    assert whole.text() == "1 - 2*x2 + 2*x1"
+    assert [str(c) for _, c in whole.items()] == [str(Fraction(c)) for _, c in whole.items()]
 
 
 def test_coefficient_never_aliases():
@@ -366,6 +385,41 @@ def test_dense_work_budget():
     # the budget counts only the variables the operands use
     sparse = series(40, 20, {(0,) * 40: 1, (1,) + (0,) * 39: -1})
     assert len(sparse.invert()) == 21
+
+
+def test_division_budget_counts_quotient_terms():
+    # 3 numerator variables and 3 divisor variables: C(26, 6) = 230230 terms
+    # in the 6 variables, but the quotient has only those x1*x2*x3 * g with
+    # deg(g) <= 17 in the divisor's 3 variables, C(20, 3) = 1140 of them
+    num = Series.monomial(12, 20, (1, 1, 1) + (0,) * 9)
+    unit = Series(12, 20, {(0,) * 12: 1, (0, 0, 0, 1) + (0,) * 8: -1,
+                           (0,) * 4 + (1,) + (0,) * 7: -1, (0,) * 5 + (1,) + (0,) * 6: -1})
+    quotient = num.divide(unit)
+    assert len(quotient) == 1140
+    assert quotient == unit.invert() * num
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+def test_quotient_bound_counts_pairs(nvars, cap, data):
+    exps = st.tuples(*(st.integers(0, cap) for _ in range(nvars)))
+    num = data.draw(st.lists(exps, max_size=5, unique=True))
+    unit_vars = data.draw(st.integers(0, nvars))
+    # brute force: the pairs (e, g) with g a monomial in unit_vars variables
+    # and deg(e) + deg(g) <= cap
+    monomials = list(itertools.product(range(cap + 1), repeat=unit_vars))
+    pairs = sum(1 for e in num for g in monomials if sum(e) + sum(g) <= cap)
+    bound = series_module._quotient_bound(cap, unit_vars, (sum(e) for e in num if sum(e) <= cap))
+    assert bound == pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_strategy(3, 5), series_strategy(3, 5, unit=True))
+def test_quotient_fits_its_bound(a, b):
+    shift = a._pack.shift
+    unit_vars = sum(1 for i in range(3) if any(e[i] for e in b.exponents()))
+    bound = series_module._quotient_bound(5, unit_vars, (k >> shift for k in a._terms))
+    assert len(a.divide(b)) <= bound
 
 
 @settings(max_examples=60, deadline=None)
