@@ -141,9 +141,13 @@ class CartanMatrix(_Frozen):
         return tuple(sorted(seen))
 
     def _connected(self, nodes: Iterable[int]) -> bool:
-        """:func:`is_connected` for nodes known to be valid and distinct,
-        searched on a node bitmask with bit i-1 for node i."""
+        """:func:`is_connected` for nodes known to be valid and distinct."""
         mask = sum(1 << (i - 1) for i in nodes)
+        return mask != 0 and self._component(mask) == mask
+
+    def _component(self, mask: int) -> int:
+        """The connected part of a node bitmask, bit i-1 for node i, that
+        holds its lowest node, by a frontier search on adjacency masks."""
         adjacency = self._adjacency
         reached = frontier = mask & -mask
         while frontier:
@@ -154,7 +158,7 @@ class CartanMatrix(_Frozen):
                 frontier ^= low
             frontier = grown & mask & ~reached
             reached |= frontier
-        return reached == mask != 0
+        return reached
 
 
 def validate_gcm(matrix: Sequence[Sequence[int]],
@@ -232,21 +236,12 @@ def connected_components(cm: CartanMatrix, nodes: Iterable[int]) -> list[tuple[i
     Connectivity is judged in the Dynkin graph restricted to the given set;
     parts are sorted and listed in order of their smallest member.
     """
-    remaining = set(cm.check_nodes(nodes))
+    remaining = sum(1 << (i - 1) for i in cm.check_nodes(nodes))
     parts = []
     while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in cm.neighbors(i):
-                if j in remaining and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        parts.append(tuple(sorted(comp)))
-        remaining -= comp
-    parts.sort(key=lambda p: p[0])
+        part = cm._component(remaining)
+        parts.append(tuple(i for i in cm.nodes() if part >> (i - 1) & 1))
+        remaining ^= part
     return parts
 
 

@@ -14,7 +14,9 @@ through lean-lift counts.
 
 The loop keeps its residual in one dict of numerators over one
 denominator and subtracts each peeled log-numerator in place, so a step
-builds no series; the decoders test connectivity on node bitmasks.
+builds no series; the decoders test connectivity on node bitmasks, and
+the folded one reads lift data for the node tuples it builds without
+checking them again.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
             raise NotEquiconnectedCandidate(
                 f"class union {list(nodes)} of candidate {gamma} is disconnected")
         try:
-            data = ctx.lift_data(nodes)
+            data = ctx._lift_data(nodes)
         except NoLift as exc:
             raise NotEquiconnectedCandidate(str(exc)) from exc
         if data.lean_counts is None:

@@ -207,11 +207,13 @@ class FoldContext:
     # -- lifts -----------------------------------------------------------
 
     def lift_data(self, nodes: Iterable[int]) -> LiftData:
-        K = self.cm.check_nodes(nodes)
+        return self._lift_data(self.cm.check_nodes(nodes))
+
+    def _lift_data(self, K: tuple[int, ...]) -> LiftData:
+        """:meth:`lift_data` for a node tuple known to be valid, distinct and sorted."""
         cached = self._lift_cache.get(K)
         if cached is None:
-            cached = self._compute_lift_data(K)
-            self._lift_cache[K] = cached
+            cached = self._lift_cache[K] = self._compute_lift_data(K)
         return cached
 
     def _compute_lift_data(self, K: tuple[int, ...]) -> LiftData:

@@ -83,14 +83,7 @@ def leading_coefficient_closed_form(cm: CartanMatrix, nodes: Iterable[int]) -> F
     if len(I) > _CLOSED_FORM_NODE_LIMIT:
         raise SizeLimit(f"the closed form is capped at {_CLOSED_FORM_NODE_LIMIT} "
                         f"nodes, got {len(I)}")
-    k = len(I)
-    adj = []
-    for a in range(k):
-        mask = 0
-        for b in range(k):
-            if b != a and cm.entry(I[a], I[b]) != 0:
-                mask |= 1 << b
-        adj.append(mask)
+    adjacency = cm._adjacency  # node masks, bit i-1 for node i
 
     def independent_subsets(mask: int) -> list[int]:
         # nonempty submasks of mask inducing no Dynkin edge
@@ -103,7 +96,7 @@ def leading_coefficient_closed_form(cm: CartanMatrix, nodes: Iterable[int]) -> F
                 return
             low = avail & -avail
             grow(avail & ~low, cur)
-            grow(avail & ~(low | adj[low.bit_length() - 1]), cur | low)
+            grow(avail & ~(low | adjacency[low.bit_length() - 1]), cur | low)
 
         grow(mask, 0)
         return out
@@ -123,11 +116,11 @@ def leading_coefficient_closed_form(cm: CartanMatrix, nodes: Iterable[int]) -> F
         memo[key] = total
         return total
 
-    full = (1 << k) - 1
+    full = sum(1 << (i - 1) for i in I)
     acc = Fraction(0)
-    for parts in range(1, k + 1):
+    for parts in range(1, len(I) + 1):
         acc += Fraction((-1) ** parts * covers(full, parts), parts)
-    return (-1) ** k * acc
+    return (-1) ** len(I) * acc
 
 
 def root_multiplicities(cm: CartanMatrix, cap: int) -> dict[tuple[int, ...], int]:

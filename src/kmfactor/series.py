@@ -25,13 +25,16 @@ one common denominator:
   so that zero numerators are never stored and gcd(den, every numerator) is
   1.  That form is unique, so equality is exact term-map equality.
 
-Exponent tuples and coefficients appear only at the edges: the
+Exponent tuples and coefficients appear only at the edges: the public
 constructor's input, ``coefficient``, ``constant_term``, ``exponents``,
 ``items`` and ``text``.  A coefficient is an ``int`` when the denominator
-is 1 and a ``Fraction`` otherwise; both are exact and print alike.  Sums,
-differences, negation and scaling work on the stored keys and numerators
-after bringing the denominators to their lcm; ``fold`` re-packs each key
-through a per-class digit map.
+is 1 and a ``Fraction`` otherwise; both are exact and print alike.  Every
+series is built by one private constructor from keys and numerators; the
+public one checks and packs its exponents and then ends in it, and
+:mod:`kmfactor.weyl` enumerates orbits on keys, so a numerator decodes and
+checks no exponent.  Sums, differences, negation and scaling work on the
+stored keys and numerators after bringing the denominators to their lcm;
+``fold`` re-packs each key through a per-class digit map.
 
 All operations are pure, truncate at the common cap, and report terms in
 term order, so results are deterministic.
@@ -151,32 +154,42 @@ class Series:
 
     __slots__ = ("nvars", "cap", "_terms", "_den", "_pack")
 
-    def __init__(self, nvars: int, cap: int,
-                 terms: Mapping[Exponent, object] | Iterable[tuple[Exponent, object]] = ()):
+    def __new__(cls, nvars: int, cap: int,
+                terms: Mapping[Exponent, object] | Iterable[tuple[Exponent, object]] = ()):
         if nvars < 0:
             raise DomainError("nvars must be nonnegative")
         if cap < 0:
             raise DomainError("cap must be nonnegative")
-        pack = _packing(nvars, cap)
+        key = _packing(nvars, cap).key
         items = terms.items() if isinstance(terms, Mapping) else terms
         exact: dict[int, int | Fraction] = {}
         for exponent, coeff in items:
             exp = _check_exponent(exponent, nvars)
             c = _coefficient(coeff)
             if c and sum(exp) <= cap:  # truncation is silent by contract
-                key = pack.key(exp)
-                exact[key] = exact.get(key, 0) + c
+                k = key(exp)
+                exact[k] = exact.get(k, 0) + c
         den = math.lcm(*(c.denominator for c in exact.values()))
-        self._init(nvars, cap, {k: c.numerator * (den // c.denominator)
-                                for k, c in exact.items() if c}, den, pack)
+        return cls._new(nvars, cap, {k: c.numerator * (den // c.denominator)
+                                     for k, c in exact.items() if c}, den)
 
-    def _init(self, nvars: int, cap: int, terms: dict[int, int], den: int,
-              pack: _Packing) -> None:
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_pack", pack)
+    @classmethod
+    def _new(cls, nvars: int, cap: int, terms: dict[int, int], den: int) -> "Series":
+        """The one constructor behind every series: nonzero numerators at
+        packed keys over ``den``, taken as they are and with the gcd of the
+        denominator and the numerators divided out."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: n // g for k, n in terms.items()}
+        s = object.__new__(cls)
+        object.__setattr__(s, "nvars", nvars)
+        object.__setattr__(s, "cap", cap)
+        object.__setattr__(s, "_terms", terms)
+        object.__setattr__(s, "_den", den)
+        object.__setattr__(s, "_pack", _packing(nvars, cap))
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -265,7 +278,7 @@ class Series:
                 out[key] = acc
             else:
                 del out[key]
-        return self._reduced(out, den)
+        return Series._new(self.nvars, self.cap, out, den)
 
     def __add__(self, other: "Series") -> "Series":
         return self._combine(other, 1) if isinstance(other, Series) else NotImplemented
@@ -279,10 +292,10 @@ class Series:
     def scale(self, coeff) -> "Series":
         c = _coefficient(coeff)
         if not c:
-            return Series.zero(self.nvars, self.cap)
+            return Series._new(self.nvars, self.cap, {}, 1)
         p = c.numerator
-        return self._reduced({k: p * n for k, n in self._terms.items()},
-                             self._den * c.denominator)
+        return Series._new(self.nvars, self.cap, {k: p * n for k, n in self._terms.items()},
+                           self._den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -318,24 +331,10 @@ class Series:
                 for kb, cb in prefix:
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
-        return self._reduced({k: v for k, v in out.items() if v}, self._den * other._den)
+        return Series._new(self.nvars, cap, {k: v for k, v in out.items() if v},
+                           self._den * other._den)
 
     __rmul__ = __mul__
-
-    def _reduced(self, terms: dict[int, int], den: int,
-                 nvars: int | None = None) -> "Series":
-        """Series at this cap (and this variable count unless ``nvars`` is
-        given) of nonzero numerators over ``den``, with the gcd of the
-        denominator and the numerators divided out."""
-        if den != 1:
-            g = math.gcd(den, *terms.values())
-            if g != 1:
-                den //= g
-                terms = {k: n // g for k, n in terms.items()}
-        pack = self._pack if nvars is None else _packing(nvars, self.cap)
-        s = object.__new__(Series)
-        s._init(self.nvars if nvars is None else nvars, self.cap, terms, den, pack)
-        return s
 
     # -- series functions ---------------------------------------------------
 
@@ -365,7 +364,7 @@ class Series:
             raise ConstantTermNotOne(f"constant term is {self.constant_term}, expected 1")
         u = sorted(item for item in self._terms.items() if item[0])
         if not u:
-            return Series.zero(nvars, cap) if num is None else num
+            return Series._new(nvars, cap, {}, 1) if num is None else num
         shift = pack.shift
         unit_fields = reduce(or_, self._terms)  # a coordinate in use is nonzero here
         fields = unit_fields if num is None else reduce(or_, num._terms, unit_fields)
@@ -415,7 +414,7 @@ class Series:
             powers = [grade ** (top - d) for d in range(top + 1)]
             den *= powers[0]
             out = {k: v * powers[k >> shift] for k, v in out.items()}
-        return self._reduced(out, den)
+        return Series._new(nvars, cap, out, den)
 
     def fold(self, partition) -> "Series":
         """Collapse variables along a :class:`kmfactor.folding.Partition`.
@@ -442,7 +441,7 @@ class Series:
                 out[folded] = acc
             else:
                 del out[folded]
-        return self._reduced(out, self._den, len(parts))
+        return Series._new(len(parts), self.cap, out, self._den)
 
     # -- rendering ---------------------------------------------------------
 

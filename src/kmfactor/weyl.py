@@ -5,7 +5,9 @@ only through its coroot pairings on the integrable node set, and orbit
 points are tracked as (pairing vector, root-coordinate offset) pairs.  The
 offset of an orbit point is the difference between the shifted dominant
 start weight and the point, written in simple-root coordinates, so it is a
-nonnegative integer vector supported inside the node set.
+nonnegative integer vector supported inside the node set.  Offsets are
+carried as the packed keys of :mod:`kmfactor.series`, so a numerator takes
+them as its terms unchanged and only :func:`orbit_terms` decodes them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .cartan import CartanMatrix, _Frozen
 from .errors import DomainError, NegativeIntegrability, TermLimit
-from .series import _DENSE_TERM_LIMIT, Series
+from .series import _DENSE_TERM_LIMIT, Series, _packing
 
 _CACHE_SIZE = 256  # entries per (matrix, index, cap) cache; a peel pool needs ~30
 
@@ -79,56 +81,50 @@ def orbit_terms(cm: CartanMatrix, nodes: Iterable[int],
     but only while values_i > 0; the sign alternates with depth.  The offset
     degree strictly increases along every edge, so cutting at the cap is
     exhaustive, and offsets identify group elements uniquely because the
-    start vector is regular.  Terms come back sorted by (degree, lex).
+    start vector is regular.  The search runs on packed offset keys; terms
+    are decoded here and come back sorted by (degree, lex), which is key
+    order.
     """
     I = cm.check_nodes(nodes)
     pv = PVIndex.from_map(I, dict(lam))
-    return [OrbitTerm(e, s) for e, s in _orbit(cm, pv, cap)]
+    signs = _orbit(cm, pv, cap)
+    exponent = _packing(cm.n, cap).exponent
+    return [OrbitTerm(exponent(key), signs[key]) for key in sorted(signs)]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> dict[int, int]:
+    """The orbit of :func:`orbit_terms` as a map from packed offset keys to signs."""
     if cap < 0:
         raise DomainError("cap must be nonnegative")
-    n = cm.n
     I = cm.check_nodes(pv.nodes)
-    zero = (0,) * n
-    if not I:
-        return ((zero, 1),)
-    k = len(I)
-    # rows[q][p] = entry(I[q], I[p]); reflection at I[p] updates value q by it.
-    rows = [tuple(cm.entry(I[q], I[p]) for p in range(k)) for q in range(k)]
+    pack = _packing(cm.n, cap)
+    # reflecting at node j moves the value at i by entry(i, j) and, packing
+    # being linear, adds the weight of coordinate j to the key, each times v
+    moves = [(pack.weights[j - 1], tuple(cm.entry(i, j) for i in I)) for j in I]
+    limit = (cap + 1) << pack.shift  # the least key over the cap
     start = tuple(p + 1 for p in pv.pairings)
-    seen = {zero}
-    offset_of = {start: zero}  # guards pairing-vector key uniqueness
-    out = [(zero, 1)]
-    queue = deque([(start, zero, 0, 1)])
+    signs = {0: 1}  # every key seen so far
+    key_of = {start: 0}  # guards pairing-vector key uniqueness
+    queue = deque([(start, 0, 1)])
     while queue:
-        values, offset, deg, sign = queue.popleft()
-        for p in range(k):
-            v = values[p]
+        values, key, sign = queue.popleft()
+        for v, (weight, column) in zip(values, moves):
             if v <= 0:
                 continue
-            nd = deg + v
-            if nd > cap:
+            nkey = key + v * weight
+            if nkey >= limit or nkey in signs:
                 continue
-            node = I[p]
-            noffset = offset[:node - 1] + (offset[node - 1] + v,) + offset[node:]
-            if noffset in seen:
-                continue
-            nvalues = tuple(values[q] - v * rows[q][p] for q in range(k))
-            prior = offset_of.get(nvalues)
-            if prior is not None and prior != noffset:
+            nvalues = tuple([w - v * c for w, c in zip(values, column)])
+            prior = key_of.get(nvalues)
+            if prior is not None and prior != nkey:
                 raise RuntimeError("pairing-vector key collision in orbit enumeration")
-            offset_of[nvalues] = noffset
-            seen.add(noffset)
-            out.append((noffset, -sign))
-            if len(out) > _DENSE_TERM_LIMIT:
+            key_of[nvalues] = nkey
+            signs[nkey] = -sign
+            if len(signs) > _DENSE_TERM_LIMIT:
                 raise TermLimit(
                     f"orbit holds more than {_DENSE_TERM_LIMIT} points below cap {cap}")
-            queue.append((nvalues, noffset, nd, -sign))
-    out.sort(key=lambda t: (sum(t[0]), t[0]))
-    return tuple(out)
+            queue.append((nvalues, nkey, -sign))
+    return signs
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -136,6 +132,7 @@ def normalized_numerator(cm: CartanMatrix, pv: PVIndex, cap: int) -> Series:
     """The alternating orbit sum as a series with constant term 1.
 
     One term of coefficient +1/-1 per enumerated orbit point; the identity
-    contributes the constant term.
+    contributes the constant term.  The orbit's keys and signs become the
+    series' terms as they are, with no exponent decoded or checked.
     """
-    return Series(cm.n, cap, {e: s for e, s in _orbit(cm, pv, cap)})
+    return Series._new(cm.n, cap, _orbit(cm, pv, cap), 1)

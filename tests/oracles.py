@@ -1,10 +1,11 @@
 """Independent reimplementations used as oracles.
 
 Everything here computes expected values by a different route than the
-package: term-by-term sums, scaling and folding on the Fractions of
-``items()``, definitional power sums for log/inverse built on them,
-pairwise convolution for products, the root-multiplicity convolution
-recurrence driven by the invariant bilinear form, brute-force graph search,
+package: Weyl orbits on exponent tuples, term-by-term sums, scaling and
+folding on the Fractions of ``items()``, definitional power sums for
+log/inverse built on them, pairwise convolution for products, the
+root-multiplicity convolution recurrence driven by the invariant bilinear
+form, brute-force graph search,
 the dominance order on indices that the peel loop must respect, the
 peel candidate by its definition, and the peel loop on immutable series
 with decoders that test connectivity on node tuples.  Nothing imports the
@@ -15,6 +16,7 @@ matrices and, for the folded decoder, a FoldContext's lift data.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -96,6 +98,30 @@ def geometric_log(nvars: int, cap: int, roots: dict[tuple[int, ...], int]) -> Se
             exp = tuple(k * r for r in root)
             terms[exp] = terms.get(exp, Fraction(0)) + Fraction(mult, k)
     return Series(nvars, cap, terms)
+
+
+# -- Weyl orbits on exponent tuples ---------------------------------------------
+
+def naive_orbit(cm, pv, cap: int) -> list[tuple[tuple[int, ...], int]]:
+    """The parabolic orbit as (offset, sign) pairs sorted by (degree, lex),
+    by the same breadth-first search as the package but on offset tuples
+    rebuilt at every step, with no budget and no collision guard."""
+    n, I = cm.n, pv.nodes
+    zero = (0,) * n
+    out = {zero: 1}
+    queue = deque([(tuple(p + 1 for p in pv.pairings), zero, 1)])
+    while queue:
+        values, offset, sign = queue.popleft()
+        for node, v in zip(I, values):
+            if v <= 0:
+                continue
+            noffset = offset[:node - 1] + (offset[node - 1] + v,) + offset[node:]
+            if sum(noffset) > cap or noffset in out:
+                continue
+            out[noffset] = -sign
+            queue.append((tuple(w - v * cm.entry(i, node) for w, i in zip(values, I)),
+                          noffset, -sign))
+    return sorted(out.items(), key=lambda t: (sum(t[0]), t[0]))
 
 
 # -- root multiplicities from the bilinear-form recurrence ------------------------

@@ -21,6 +21,7 @@ from kmfactor import (
     validate_gcm,
     verify_equivalence,
 )
+from kmfactor.cartan import CartanMatrix
 from kmfactor.errors import (
     DisconnectedCandidateSupport,
     DivisibilityFailure,
@@ -477,7 +478,28 @@ def test_peel_builds_no_series(a3):
             return original(*args, **kwargs)
         return mock.patch.object(Series, name, wrapper)
 
-    with counted("__sub__"), counted("_combine"), counted("_reduced"):
+    with counted("__sub__"), counted("_combine"), counted("_new"):
         result = peel_log_sum(a3, total)
     assert Counter(result.factors) == Counter(factors)
     assert calls == Counter()
+
+
+def test_warm_folded_peel_checks_no_nodes():
+    # the folded decoder builds its node tuples itself, sorted and distinct
+    cm = cartan("A3aff")
+    ctx = FoldContext(cm, orbit_partition(cm, [[3, 2, 1, 4]]))
+    factors = [PVIndex((1, 2, 3), (0, 0, 0)), PVIndex((2,), (1,))]
+    total = ctx.fold_log_numerator(factors[0], 8) + ctx.fold_log_numerator(factors[1], 8)
+    assert Counter(peel_folded(ctx, total).factors) == Counter(factors)
+    check = CartanMatrix.check_nodes
+    calls = []
+
+    def counted(self, nodes):
+        calls.append(nodes)
+        return check(self, nodes)
+
+    with mock.patch.object(CartanMatrix, "check_nodes", counted):
+        assert Counter(peel_folded(ctx, total).factors) == Counter(factors)
+    assert calls == []
+    with pytest.raises(DomainError):
+        ctx.lift_data((True, 2, 3, 4))

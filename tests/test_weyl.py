@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from catalog import cartan
+from catalog import MATRICES, all_connected_subsets, cartan
 from kmfactor import PVIndex, character, log_numerator, normalized_numerator, orbit_terms, weyl
+from kmfactor import series as series_module
 from kmfactor.cartan import validate_gcm
 from kmfactor.errors import DomainError, NegativeIntegrability, TermLimit
 from kmfactor.series import Series, support
 from kmfactor.weyl import OrbitTerm
+from oracles import naive_orbit
 
 # Finite Weyl group orders for the term-count checks.
 GROUP_ORDERS = {"A2": 6, "A3": 24, "B2": 8}
@@ -131,6 +133,33 @@ def test_caches_are_bounded():
         cm = validate_gcm([[2, -1], [-1, 2]], [f"a{k}", f"b{k}"])
         character(cm, pv, None, 4)
         log_numerator(cm, pv, 4)
-    for cache in (weyl._orbit, weyl.normalized_numerator, log_numerator):
+    for cache in (weyl.normalized_numerator, log_numerator):
         assert cache.cache_info().maxsize == 256
         assert cache.cache_info().currsize == 256
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_orbit_matches_naive(name):
+    cm = cartan(name)
+    rng = random.Random(name)
+    for nodes in [()] + all_connected_subsets(cm):
+        vectors = {(p,) * len(nodes) for p in range(3)}
+        vectors |= {tuple(rng.randint(0, 2) for _ in nodes) for _ in range(3)}
+        for pairings in sorted(vectors):
+            pv = PVIndex(nodes, pairings)
+            for cap in (0, 3, 7, 12):
+                expect = naive_orbit(cm, pv, cap)
+                got = orbit_terms(cm, nodes, dict(zip(nodes, pairings)), cap)
+                assert [(t.exponent, t.sign) for t in got] == expect
+                assert normalized_numerator(cm, pv, cap) == Series(cm.n, cap, expect)
+
+
+def test_numerator_checks_no_exponents(monkeypatch):
+    # a relabelled A3(1) misses every cache, so the orbit is enumerated here
+    cm = validate_gcm(cartan("A3aff").rows, ["p", "q", "r", "s"])
+    calls = []
+    check = series_module._check_exponent
+    monkeypatch.setattr(series_module, "_check_exponent",
+                        lambda *args: calls.append(args) or check(*args))
+    num = normalized_numerator(cm, PVIndex(cm.nodes(), (0, 0, 0, 0)), 7)
+    assert len(num) == 51 and calls == []
