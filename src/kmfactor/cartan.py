@@ -2,7 +2,8 @@
 
 Nodes are numbered 1..n in every public argument and result; ``labels`` are
 display strings used by the CLI.  All pairing arithmetic in the package goes
-through :meth:`CartanMatrix.entry`.
+through :meth:`CartanMatrix.entry`.  Connectivity, transversals and lifts
+walk node bitmasks, bit i-1 for node i, via :meth:`CartanMatrix._neighbours`.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ class _Frozen:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
+def _mask(nodes: Iterable[int]) -> int:
+    """The bitmask of a node set, bit i-1 for node i."""
+    return sum(1 << (i - 1) for i in nodes)
+
+
+def _nodes(mask: int) -> tuple[int, ...]:
+    """The nodes of a bitmask, in increasing order."""
+    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+
+
 class CartanMatrix(_Frozen):
     """A symmetrizable generalized Cartan matrix with labelled nodes.
 
@@ -124,8 +135,7 @@ class CartanMatrix(_Frozen):
             raise DomainError(f"unknown node label {label!r}") from None
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        row = self.rows[i - 1]
-        return tuple(j for j in self.nodes() if j != i and row[j - 1] != 0)
+        return _nodes(self._adjacency[i - 1])
 
     def check_nodes(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Validate a node set and return it as a sorted tuple."""
@@ -142,21 +152,25 @@ class CartanMatrix(_Frozen):
 
     def _connected(self, nodes: Iterable[int]) -> bool:
         """:func:`is_connected` for nodes known to be valid and distinct."""
-        mask = sum(1 << (i - 1) for i in nodes)
+        mask = _mask(nodes)
         return mask != 0 and self._component(mask) == mask
 
-    def _component(self, mask: int) -> int:
-        """The connected part of a node bitmask, bit i-1 for node i, that
-        holds its lowest node, by a frontier search on adjacency masks."""
+    def _neighbours(self, mask: int) -> int:
+        """The bitmask of all neighbours of the nodes of ``mask``."""
         adjacency = self._adjacency
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= adjacency[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def _component(self, mask: int) -> int:
+        """The connected part of a node bitmask that holds its lowest node,
+        by a frontier search with one :meth:`_neighbours` step per layer."""
         reached = frontier = mask & -mask
         while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= adjacency[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grown & mask & ~reached
+            frontier = self._neighbours(frontier) & mask & ~reached
             reached |= frontier
         return reached
 
@@ -236,11 +250,11 @@ def connected_components(cm: CartanMatrix, nodes: Iterable[int]) -> list[tuple[i
     Connectivity is judged in the Dynkin graph restricted to the given set;
     parts are sorted and listed in order of their smallest member.
     """
-    remaining = sum(1 << (i - 1) for i in cm.check_nodes(nodes))
+    remaining = _mask(cm.check_nodes(nodes))
     parts = []
     while remaining:
         part = cm._component(remaining)
-        parts.append(tuple(i for i in cm.nodes() if part >> (i - 1) & 1))
+        parts.append(_nodes(part))
         remaining ^= part
     return parts
 

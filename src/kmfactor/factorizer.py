@@ -12,17 +12,15 @@ terminates with a zero residual precisely when the input was such a sum.
 The folded variant runs the same loop in class variables, decoding markers
 through lean-lift counts.
 
-The loop keeps its residual in one dict of numerators over one
-denominator and subtracts each peeled log-numerator in place, so a step
-builds no series; the decoders test connectivity on node bitmasks, and
-the folded one reads lift data for the node tuples it builds without
-checking them again.
+The loop keeps its residual in the accumulator behind series sums and
+subtracts each peeled log-numerator in place, so a step builds no series;
+the decoders test connectivity on node bitmasks, and the folded one reads
+lift data for the node tuples it builds without checking them again.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from itertools import compress
 from typing import Callable, Sequence
@@ -42,7 +40,7 @@ from .errors import (
 )
 from .folding import FoldContext
 from .numerators import log_numerator
-from .series import _DENSE_TERM_LIMIT, Series, _coefficient, support
+from .series import _DENSE_TERM_LIMIT, Series, _coefficient, _Sum, support
 from .weyl import PVIndex
 
 
@@ -58,20 +56,11 @@ class FactorizationResult(_Frozen):
     __slots__ = ("factors", "empty_count", "residual_zero", "certified_degree")
 
 
-class _Residual:
-    """The running residual of a peel, changed in place.
+class _Residual(_Sum):
+    """The running residual of a peel: a series sum that also picks the
+    next candidate."""
 
-    ``terms`` maps packed keys to numerators over the one denominator
-    ``den``, which grows only when a subtracted series' denominator does not
-    divide it; numerators are not reduced against it.
-    """
-
-    __slots__ = ("terms", "den", "pack")
-
-    def __init__(self, total: Series):
-        self.terms = dict(total._terms)
-        self.den = total._den
-        self.pack = total._pack
+    __slots__ = ()
 
     def candidate(self) -> int:
         """Key of the deterministic peel candidate: support-maximal, then minimal.
@@ -90,24 +79,6 @@ class _Residual:
         pack, keys = self.pack, self.terms.keys()
         masks = list(pack.supports(keys))
         return min(compress(keys, map(max(masks).__eq__, masks)), key=pack.lex.__and__)
-
-    def subtract(self, t: Series, m: int) -> None:
-        """Subtract ``m`` times ``t``, a series of the same shape."""
-        terms = self.terms
-        if self.den % t._den:
-            den = math.lcm(self.den, t._den)
-            lift = den // self.den
-            for key, n in terms.items():
-                terms[key] = n * lift
-            self.den = den
-        step = m * (self.den // t._den)
-        get = terms.get
-        for key, n in t._terms.items():
-            acc = get(key, 0) - n * step
-            if acc:
-                terms[key] = acc
-            else:
-                del terms[key]
 
 
 def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResult:
@@ -148,7 +119,7 @@ def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResul
         if len(factors) + m > _DENSE_TERM_LIMIT:
             raise TermLimit(f"{len(factors) + m} factors exceed the budget of "
                             f"{_DENSE_TERM_LIMIT}")
-        residual.subtract(t, m)
+        residual.add(t, -m)
         factors += [pv] * m
         peeled.add(key)
     return FactorizationResult(tuple(factors), 0, True, cap)

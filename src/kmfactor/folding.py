@@ -7,15 +7,16 @@ a *lift* is a connected subset of K meeting every class of K; K is
 *equiconnected* when some lift (a *lean* one) simultaneously minimizes the
 intersection count with every class.  The folded marker exponent of a
 symmetric index is built from those counts and does not depend on the lean
-lift chosen.
+lift chosen.  Lifts and transversals grow on node bitmasks, one neighbour at
+a time, and a lift is grown no further: its strict supersets are not minimal.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .cartan import CartanMatrix, _Frozen
+from .cartan import CartanMatrix, _Frozen, _mask, _nodes
 from .errors import (
     DomainError,
     NoLift,
@@ -125,51 +126,19 @@ def connected_transversal(cm: CartanMatrix, partition: Partition) -> tuple[int, 
     """
     if partition.n != cm.n:
         raise DomainError(f"partition covers 1..{partition.n}, matrix has {cm.n} nodes")
-    chosen = {1}
-    met = {partition.class_index(1)}
-    while len(met) < partition.num_classes:
-        candidate = None
-        for y in cm.nodes():
-            if y in chosen or partition.class_index(y) in met:
-                continue
-            if any(cm.entry(y, x) != 0 for x in chosen):
-                candidate = y
-                break
-        if candidate is None:
+    classes = [_mask(p) for p in partition.classes]
+    chosen = 1
+    met = classes[0]  # nodes of the classes met; the first class holds node 1
+    while met != (1 << cm.n) - 1:
+        free = cm._neighbours(chosen) & ~met
+        if not free:
             raise NoTransversal(
                 "no unmet class is adjacent to the current set; the partition "
                 "is not the orbit partition of a connected diagram")
-        chosen.add(candidate)
-        met.add(partition.class_index(candidate))
-    return tuple(sorted(chosen))
-
-
-def _connected_subsets(neigh: dict[int, tuple[int, ...]],
-                       vertices: Sequence[int]) -> Iterator[frozenset[int]]:
-    """All nonempty connected subsets of the induced graph, each exactly once.
-
-    Subsets are grouped by their minimum vertex v and grown inside
-    {u : u >= v}; the branch that skips a frontier vertex forbids it in all
-    later branches, which is what makes the enumeration duplicate-free.
-    """
-    verts = sorted(vertices)
-
-    def grow(cur: frozenset[int], frontier: tuple[int, ...],
-             banned: frozenset[int], allowed: frozenset[int]) -> Iterator[frozenset[int]]:
-        yield cur
-        for idx, u in enumerate(frontier):
-            new_banned = banned | frozenset(frontier[:idx])
-            pending = frozenset(frontier[idx + 1:])
-            fresh = tuple(w for w in neigh[u]
-                          if w in allowed and w not in cur
-                          and w not in new_banned and w not in pending and w != u)
-            yield from grow(cur | {u}, frontier[idx + 1:] + fresh,
-                            new_banned, allowed)
-
-    for i, v in enumerate(verts):
-        allowed = frozenset(verts[i:])
-        start_frontier = tuple(w for w in neigh[v] if w in allowed and w != v)
-        yield from grow(frozenset({v}), start_frontier, frozenset(), allowed)
+        low = free & -free
+        chosen |= low
+        met |= next(m for m in classes if m & low)
+    return _nodes(chosen)
 
 
 class LiftData(_Frozen):
@@ -191,9 +160,9 @@ class LiftData(_Frozen):
 class FoldContext:
     """A Cartan matrix with a node partition and cached lift data.
 
-    The per-union lift enumeration is exponential in the union's size, so
-    results are cached on first use; instances are immutable apart from
-    that cache and safe to share.
+    Lift growth is exponential in the union's size, so results are cached
+    on first use; instances are immutable apart from that cache and safe to
+    share.
     """
 
     def __init__(self, cm: CartanMatrix, partition: Partition):
@@ -217,34 +186,47 @@ class FoldContext:
         return cached
 
     def _compute_lift_data(self, K: tuple[int, ...]) -> LiftData:
+        """Connected masks grow from each node of K one neighbour at a time,
+        and one that meets every class is kept as a lift and grown no further.
+        Every minimal lift is reached, through connected proper subsets, each
+        of which misses a class."""
         if not K:
             raise DomainError("class union must be nonempty")
         if len(K) > _LIFT_NODE_LIMIT:
             raise SizeLimit(
                 f"lift enumeration is capped at {_LIFT_NODE_LIMIT} nodes, got {len(K)}")
-        kset = set(K)
-        class_indices = sorted({self.partition.class_index(i) for i in K})
+        union = _mask(K)
+        classes = [_mask(p) for p in self.partition.classes]
+        class_indices = [c for c, m in enumerate(classes) if m & union]
         for c in class_indices:
-            if not set(self.partition.classes[c]) <= kset:
+            if classes[c] & ~union:
                 raise NotClassUnion(
                     f"{list(K)} cuts the class {list(self.partition.classes[c])}")
-        parts = [self.partition.classes[c] for c in class_indices]
-        neigh = {i: tuple(j for j in self.cm.neighbors(i) if j in kset) for i in K}
-
-        lifts = [s for s in _connected_subsets(neigh, K)
-                 if all(any(i in s for i in p) for p in parts)]
+        parts = [classes[c] for c in class_indices]
+        stack = [1 << (i - 1) for i in K]
+        seen, lifts = set(stack), []
+        while stack:
+            s = stack.pop()
+            if all(s & p for p in parts):
+                lifts.append(s)
+                continue
+            for j in _nodes(self.cm._neighbours(s) & union & ~s):
+                grown = s | 1 << (j - 1)
+                if grown not in seen:
+                    seen.add(grown)
+                    stack.append(grown)
         if not lifts:
             raise NoLift(f"no connected subset of {list(K)} meets every class")
-        lifts.sort(key=len)
-        minimal: list[frozenset[int]] = []
+        lifts.sort(key=int.bit_count)
+        minimal: list[int] = []
         for s in lifts:
-            if not any(m <= s for m in minimal):
+            if not any(m & s == m for m in minimal):
                 minimal.append(s)
-        vectors = [tuple(len(s & set(p)) for p in parts) for s in minimal]
+        vectors = [tuple((s & p).bit_count() for p in parts) for s in minimal]
         meet = tuple(min(col) for col in zip(*vectors))
         equi = meet in vectors
-        ordered = sorted(tuple(sorted(s)) for s in minimal)
-        lean = sorted(tuple(sorted(s)) for s, v in zip(minimal, vectors) if v == meet)
+        ordered = sorted(map(_nodes, minimal))
+        lean = sorted(_nodes(s) for s, v in zip(minimal, vectors) if v == meet)
         return LiftData(tuple(ordered), tuple(lean) if equi else (),
                         tuple(class_indices), meet if equi else None)
 
@@ -293,10 +275,14 @@ class FoldContext:
         return _folded_log_numerator(self.cm, self.partition, pv, cap)
 
     def symmetric_index(self, nodes: Iterable[int], class_pairings: dict[int, int]) -> PVIndex:
-        """Build the symmetric index with one pairing value per class index."""
+        """Build the symmetric index from one pairing per class the nodes meet."""
         K = self.cm.check_nodes(nodes)
-        lam = {i: class_pairings[self.partition.class_index(i)] for i in K}
-        return PVIndex.from_map(K, lam)
+        index = self.partition.class_index
+        classes = sorted({index(i) for i in K})
+        if set(class_pairings) != set(classes):
+            raise DomainError(f"class pairing keys {list(class_pairings)} do not match "
+                              f"the classes {classes} that {list(K)} meets")
+        return PVIndex(K, [class_pairings[index(i)] for i in K])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .cartan import CartanMatrix, _Frozen
+from .cartan import CartanMatrix, _Frozen, _mask
 from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity, SizeLimit
 from .series import Series
 from .weyl import _CACHE_SIZE, PVIndex, normalized_numerator
@@ -116,7 +116,7 @@ def leading_coefficient_closed_form(cm: CartanMatrix, nodes: Iterable[int]) -> F
         memo[key] = total
         return total
 
-    full = sum(1 << (i - 1) for i in I)
+    full = _mask(I)
     acc = Fraction(0)
     for parts in range(1, len(I) + 1):
         acc += Fraction((-1) ** parts * covers(full, parts), parts)

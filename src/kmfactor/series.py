@@ -32,9 +32,10 @@ is 1 and a ``Fraction`` otherwise; both are exact and print alike.  Every
 series is built by one private constructor from keys and numerators; the
 public one checks and packs its exponents and then ends in it, and
 :mod:`kmfactor.weyl` enumerates orbits on keys, so a numerator decodes and
-checks no exponent.  Sums, differences, negation and scaling work on the
-stored keys and numerators after bringing the denominators to their lcm;
-``fold`` re-packs each key through a per-class digit map.
+checks no exponent.  Sums, differences and the peel residual of
+:mod:`kmfactor.factorizer` share one mutable accumulator, ``_Sum``; negation
+and scaling work on the stored numerators; ``fold`` re-packs each key
+through a per-class digit map.
 
 All operations are pure, truncate at the common cap, and report terms in
 term order, so results are deterministic.
@@ -147,6 +148,37 @@ def _quotient_bound(cap: int, unit_vars: int, degrees: Iterable[int]) -> int:
     monomial g of degree at most cap - deg(e) in the unit_vars variables
     that u uses."""
     return sum(math.comb(cap - d + unit_vars, unit_vars) for d in degrees)
+
+
+class _Sum:
+    """A running sum of series of one shape, changed in place: nonzero
+    numerators at packed keys over one denominator ``den``, which grows only
+    when an added denominator does not divide it; nothing is reduced."""
+
+    __slots__ = ("terms", "den", "pack")
+
+    def __init__(self, start: "Series"):
+        self.terms = dict(start._terms)
+        self.den = start._den
+        self.pack = start._pack
+
+    def add(self, t: "Series", step: int) -> None:
+        """Add ``step`` times ``t``, a series of the same shape."""
+        terms = self.terms
+        if self.den % t._den:
+            den = math.lcm(self.den, t._den)
+            lift = den // self.den
+            for key, n in terms.items():
+                terms[key] = n * lift
+            self.den = den
+        step *= self.den // t._den
+        get = terms.get
+        for key, n in t._terms.items():
+            acc = get(key, 0) + n * step
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
 
 
 class Series:
@@ -268,17 +300,9 @@ class Series:
     def _combine(self, other: "Series", sign: int) -> "Series":
         """``self + sign * other`` over the lcm of the two denominators."""
         self._check_compatible(other)
-        den = math.lcm(self._den, other._den)
-        lift, step = den // self._den, sign * (den // other._den)
-        out = dict(self._terms) if lift == 1 else {k: n * lift for k, n in self._terms.items()}
-        get = out.get
-        for key, n in other._terms.items():
-            acc = get(key, 0) + n * step
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        return Series._new(self.nvars, self.cap, out, den)
+        total = _Sum(self)
+        total.add(other, sign)
+        return Series._new(self.nvars, self.cap, total.terms, total.den)
 
     def __add__(self, other: "Series") -> "Series":
         return self._combine(other, 1) if isinstance(other, Series) else NotImplemented

@@ -59,6 +59,8 @@ class PVIndex(_Frozen):
         return cls(I, tuple(lam[i] for i in I))
 
     def pairing(self, i: int) -> int:
+        if i not in self.nodes:
+            raise DomainError(f"node {i!r} is not in the node set {list(self.nodes)}")
         return self.pairings[self.nodes.index(i)]
 
     def as_map(self) -> dict[int, int]:

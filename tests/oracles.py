@@ -5,12 +5,14 @@ package: Weyl orbits on exponent tuples, term-by-term sums, scaling and
 folding on the Fractions of ``items()``, definitional power sums for
 log/inverse built on them, pairwise convolution for products, the
 root-multiplicity convolution recurrence driven by the invariant bilinear
-form, brute-force graph search,
+form, brute-force graph search, lifts from a banned-set enumeration of connected
+subsets on frozensets, a transversal by scanning matrix entries,
 the dominance order on indices that the peel loop must respect, the
 peel candidate by its definition, and the peel loop on immutable series
 with decoders that test connectivity on node tuples.  Nothing imports the
-code paths under test beyond the plain Series container, validated
-matrices and, for the folded decoder, a FoldContext's lift data.
+code paths under test beyond the plain Series and LiftData containers,
+validated matrices, the lift node limit and, for the folded decoder, a
+FoldContext's lift data.
 """
 
 from __future__ import annotations
@@ -18,18 +20,23 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from kmfactor.cartan import connected_components
 from kmfactor.errors import (
     DisconnectedCandidateSupport,
     DivisibilityFailure,
+    DomainError,
     NegativeLeadingCoefficient,
     NoLift,
     NonzeroResidual,
+    NotClassUnion,
     NotEquiconnectedCandidate,
+    NoTransversal,
+    SizeLimit,
     TermLimit,
 )
+from kmfactor.folding import _LIFT_NODE_LIMIT, LiftData
 from kmfactor.series import _DENSE_TERM_LIMIT, Series
 from kmfactor.weyl import PVIndex
 
@@ -344,12 +351,114 @@ def _is_connected_subset(cm, sub: set[int]) -> bool:
     return seen == sub
 
 
+def naive_connected_subsets(cm, vertices):
+    """All nonempty connected subsets of the induced graph, each exactly once.
+
+    Subsets are grouped by their minimum vertex v and grown inside
+    {u : u >= v}; the branch that skips a frontier vertex forbids it in all
+    later branches, which is what makes the enumeration duplicate-free.
+    Neighbours are read off nonzero matrix entries.
+    """
+    verts = sorted(vertices)
+    neigh = {i: tuple(j for j in cm.nodes() if j != i and cm.entry(i, j) != 0)
+             for i in verts}
+
+    def grow(cur, frontier, banned, allowed):
+        yield cur
+        for idx, u in enumerate(frontier):
+            new_banned = banned | frozenset(frontier[:idx])
+            pending = frozenset(frontier[idx + 1:])
+            fresh = tuple(w for w in neigh[u]
+                          if w in allowed and w not in cur
+                          and w not in new_banned and w not in pending and w != u)
+            yield from grow(cur | {u}, frontier[idx + 1:] + fresh,
+                            new_banned, allowed)
+
+    for i, v in enumerate(verts):
+        allowed = frozenset(verts[i:])
+        start_frontier = tuple(w for w in neigh[v] if w in allowed and w != v)
+        yield from grow(frozenset({v}), start_frontier, frozenset(), allowed)
+
+
+def naive_lift_data(cm, partition, nodes) -> LiftData:
+    """Lift data of a class union: every connected subset of it, the ones
+    meeting every class, the inclusion-minimal ones among those and their
+    class counts, all on frozensets."""
+    K = cm.check_nodes(nodes)
+    if not K:
+        raise DomainError("class union must be nonempty")
+    if len(K) > _LIFT_NODE_LIMIT:
+        raise SizeLimit(
+            f"lift enumeration is capped at {_LIFT_NODE_LIMIT} nodes, got {len(K)}")
+    kset = set(K)
+    class_indices = sorted({partition.class_index(i) for i in K})
+    for c in class_indices:
+        if not set(partition.classes[c]) <= kset:
+            raise NotClassUnion(
+                f"{list(K)} cuts the class {list(partition.classes[c])}")
+    parts = [partition.classes[c] for c in class_indices]
+    lifts = [s for s in naive_connected_subsets(cm, K)
+             if all(any(i in s for i in p) for p in parts)]
+    if not lifts:
+        raise NoLift(f"no connected subset of {list(K)} meets every class")
+    lifts.sort(key=len)
+    minimal = []
+    for s in lifts:
+        if not any(m <= s for m in minimal):
+            minimal.append(s)
+    vectors = [tuple(len(s & set(p)) for p in parts) for s in minimal]
+    meet = tuple(min(col) for col in zip(*vectors))
+    equi = meet in vectors
+    ordered = sorted(tuple(sorted(s)) for s in minimal)
+    lean = sorted(tuple(sorted(s)) for s, v in zip(minimal, vectors) if v == meet)
+    return LiftData(tuple(ordered), tuple(lean) if equi else (),
+                    tuple(class_indices), meet if equi else None)
+
+
+def naive_transversal(cm, partition) -> tuple[int, ...]:
+    """Grow from node 1, adding the smallest unchosen node in an unmet class
+    that has a nonzero matrix entry against a chosen node."""
+    if partition.n != cm.n:
+        raise DomainError(f"partition covers 1..{partition.n}, matrix has {cm.n} nodes")
+    chosen = {1}
+    met = {partition.class_index(1)}
+    while len(met) < partition.num_classes:
+        candidate = None
+        for y in cm.nodes():
+            if y in chosen or partition.class_index(y) in met:
+                continue
+            if any(cm.entry(y, x) != 0 for x in chosen):
+                candidate = y
+                break
+        if candidate is None:
+            raise NoTransversal(
+                "no unmet class is adjacent to the current set; the partition "
+                "is not the orbit partition of a connected diagram")
+        chosen.add(candidate)
+        met.add(partition.class_index(candidate))
+    return tuple(sorted(chosen))
+
+
 def brute_automorphisms(cm) -> list[tuple[int, ...]]:
-    """All node permutations preserving the matrix (feasible for small n)."""
+    """All node permutations preserving the matrix, in lexicographic order.
+
+    Images are chosen node by node, and a partial permutation is dropped as
+    soon as it moves an entry among the nodes placed so far.
+    """
     n = cm.n
     out = []
-    for perm in permutations(range(1, n + 1)):
-        if all(cm.entry(perm[i - 1], perm[j - 1]) == cm.entry(i, j)
-               for i in range(1, n + 1) for j in range(1, n + 1)):
-            out.append(perm)
+
+    def extend(images):
+        k = len(images) + 1
+        if k > n:
+            out.append(tuple(images))
+            return
+        for y in range(1, n + 1):
+            if y in images or cm.entry(y, y) != cm.entry(k, k):
+                continue
+            if all(cm.entry(images[i - 1], y) == cm.entry(i, k)
+                   and cm.entry(y, images[i - 1]) == cm.entry(k, i) for i in range(1, k)):
+                extend(images + [y])
+
+    extend([])
     return out

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 
 from catalog import cartan, random_simply_laced, symmetric_diagram
 from kmfactor import (
+    CartanMatrix,
     FoldContext,
     Partition,
     PVIndex,
@@ -24,8 +26,14 @@ from kmfactor.errors import (
     NoTransversal,
     SizeLimit,
 )
-from kmfactor.folding import _connected_subsets, _folded_log_numerator
-from oracles import brute_automorphisms, brute_connected_subsets
+from kmfactor.folding import _folded_log_numerator
+from oracles import (
+    brute_automorphisms,
+    brute_connected_subsets,
+    naive_connected_subsets,
+    naive_lift_data,
+    naive_transversal,
+)
 
 
 def figure1():
@@ -39,12 +47,16 @@ def figure1():
     ])
 
 
-def figure2():
-    # path graph on nine nodes
-    rows = [[2 if i == j else 0 for j in range(9)] for i in range(9)]
-    for k in range(1, 9):
+def path_diagram(n):
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n):
         rows[k - 1][k] = rows[k][k - 1] = -1
     return validate_gcm(rows)
+
+
+def figure2():
+    # path graph on nine nodes
+    return path_diagram(9)
 
 
 FIGURE1_CLASSES = [[1], [2], [3], [4, 5]]
@@ -121,16 +133,95 @@ def test_transversal_random_symmetric_diagrams():
             assert len(set(nodes) & set(cls)) == 1
 
 
-# -- connected-subset enumeration ----------------------------------------------------
+# -- lifts and transversals against their oracles ----------------------------------
 
-def test_connected_subsets_match_brute_force():
+def outcome(fn, *args):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def lift_fields(data):
+    if isinstance(data, tuple):
+        return data
+    return data.lifts, data.lean, data.class_indices, data.lean_counts
+
+
+def assert_matches_naive(cm, partition, node_sets):
+    """Transversal, and lift data of every class union and of ``node_sets``,
+    refusals included."""
+    assert (outcome(connected_transversal, cm, partition)
+            == outcome(naive_transversal, cm, partition))
+    ctx = FoldContext(cm, partition)
+    classes = partition.classes
+    unions = [tuple(i for c, p in enumerate(classes) if pick >> c & 1 for i in p)
+              for pick in range(1, 1 << len(classes))]
+    for nodes in unions + node_sets:
+        got = lift_fields(outcome(ctx.lift_data, nodes))
+        assert got == lift_fields(outcome(naive_lift_data, cm, partition, nodes))
+
+
+def test_lifts_and_transversals_match_naive():
+    # the figures hold unions that are and are not equiconnected
+    for cm, classes in ((figure1(), FIGURE1_CLASSES), (figure2(), FIGURE2_CLASSES)):
+        assert_matches_naive(cm, Partition.of(cm.n, classes), [()])
     rng = random.Random(19)
-    for _ in range(20):
-        cm = random_simply_laced(rng, rng.randint(1, 7))
-        neigh = {i: cm.neighbors(i) for i in cm.nodes()}
-        got = list(_connected_subsets(neigh, cm.nodes()))
-        assert len(got) == len(set(got)), "duplicate subsets"
-        assert set(got) == brute_connected_subsets(cm, cm.nodes())
+    for _ in range(40):
+        cm = random_simply_laced(rng, rng.randint(1, 9))
+        # the oracle's enumerator lists every connected subset exactly once
+        subsets = list(naive_connected_subsets(cm, cm.nodes()))
+        assert len(subsets) == len(set(subsets))
+        assert set(subsets) == brute_connected_subsets(cm, cm.nodes())
+        count = rng.randint(1, cm.n)
+        random_classes = {}
+        for i in cm.nodes():
+            random_classes.setdefault(rng.randrange(count), []).append(i)
+        partitions = [Partition.of(cm.n, random_classes.values()),
+                      orbit_partition(cm, brute_automorphisms(cm))]
+        for partition in partitions:
+            # with a few random node sets, which may cut a class
+            assert_matches_naive(cm, partition, [
+                tuple(rng.sample(cm.nodes(), rng.randint(1, cm.n))) for _ in range(3)])
+    big = path_diagram(17)
+    partition = Partition.of(17, [[i] for i in big.nodes()])
+    got = outcome(FoldContext(big, partition).lift_data, big.nodes())
+    assert got[0] is SizeLimit
+    assert got == outcome(naive_lift_data, big, partition, big.nodes())
+
+
+def test_lift_growth_stops_at_lifts():
+    # growth takes one frontier step per connected node set that misses a
+    # class and none past a lift, whose strict supersets are never minimal;
+    # trying every submask of 16 nodes would take 65535 steps
+    steps = 0
+    original = CartanMatrix._neighbours
+
+    def counted(self, mask):
+        nonlocal steps
+        steps += 1
+        return original(self, mask)
+
+    path = path_diagram(16)
+    with mock.patch.object(CartanMatrix, "_neighbours", counted):
+        data = FoldContext(path, Partition.of(16, [[i] for i in path.nodes()])).lift_data(
+            path.nodes())
+    assert data.lifts == (path.nodes(),)
+    assert steps <= 135  # the 136 connected subsets of the path, less the lift
+    rows = [[2 if i == j else 0 for j in range(16)] for i in range(16)]
+    for k in range(16):
+        rows[k][(k + 1) % 16] = rows[(k + 1) % 16][k] = -1
+    cycle = validate_gcm(rows)
+    reflection = [(-k) % 16 + 1 for k in range(16)]  # fixes nodes 1 and 9
+    steps = 0
+    with mock.patch.object(CartanMatrix, "_neighbours", counted):
+        data = FoldContext(cycle, orbit_partition(cycle, [reflection])).lift_data(
+            cycle.nodes())
+    assert data.lifts == (tuple(range(1, 10)), (1,) + tuple(range(9, 17)))
+    assert data.lean_counts == (1,) * 9
+    # the 241 connected subsets of the 16-cycle, less the 57 that hold a lift
+    assert steps <= 184
 
 
 # -- lifts -----------------------------------------------------------------------------
@@ -237,6 +328,14 @@ def test_marker_equality_implies_equivalence():
         for m2, p2 in samples:
             if m1 == m2:
                 assert p1 == p2
+
+
+def test_symmetric_index_requires_exact_classes(a3):
+    ctx = FoldContext(a3, Partition.of(3, [[1, 3], [2]]))
+    assert ctx.symmetric_index((1, 2, 3), {0: 1, 1: 0}) == PVIndex((1, 2, 3), (1, 0, 1))
+    for class_pairings in ({0: 1}, {0: 1, 1: 0, 5: 2}):
+        with pytest.raises(DomainError, match="do not match the classes"):
+            ctx.symmetric_index((1, 2, 3), class_pairings)
 
 
 def test_folded_marker_coefficient_positive_and_weight_independent():

@@ -4,6 +4,8 @@ import itertools
 import math
 import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -455,6 +457,18 @@ def test_public_helpers_are_left_to_the_tracer():
               if not name.startswith("_") and callable(value) and not isinstance(value, type)
               and getattr(value, "__module__", None) == "kmfactor.series"}
     assert public and public <= helpers
+
+
+def test_tracer_installs():
+    # perfbench/tracer.py patches Series and FoldContext methods by name, so
+    # removing or inheriting one of them breaks the traced benchmark run
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import kmfactor; "
+            "from tracer import Tracer; Tracer().install()")
+    done = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
+                           os.path.join(root, "perfbench")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # -- fold --------------------------------------------------------------------------------

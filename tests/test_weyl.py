@@ -30,6 +30,11 @@ def test_pvindex_validation():
     assert pv.as_map() == {1: 3, 2: 5}
 
 
+def test_pairing_outside_node_set_refuses():
+    with pytest.raises(DomainError, match="node 3 is not in the node set"):
+        PVIndex((1, 2), (0, 0)).pairing(3)
+
+
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_a1_two_terms(a1, m):
     terms = orbit_terms(a1, (1,), {1: m}, m + 2)
