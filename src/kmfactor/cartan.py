@@ -83,6 +83,15 @@ def _mask(nodes: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in nodes)
 
 
+def _node_ints(values: Iterable) -> tuple[int, ...]:
+    """The values as a tuple; one that is not an int, or is a bool, is refused."""
+    out = tuple(values)
+    for x in out:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise DomainError(f"node {x!r} is not an integer")
+    return out
+
+
 def _nodes(mask: int) -> tuple[int, ...]:
     """The nodes of a bitmask, in increasing order."""
     return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
@@ -140,9 +149,7 @@ class CartanMatrix(_Frozen):
     def check_nodes(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Validate a node set and return it as a sorted tuple."""
         seen: set[int] = set()
-        for x in nodes:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise DomainError(f"node {x!r} is not an integer")
+        for x in _node_ints(nodes):
             if not 1 <= x <= self.n:
                 raise DomainError(f"node {x} out of range 1..{self.n}")
             if x in seen:

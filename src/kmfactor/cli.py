@@ -33,7 +33,7 @@ from .factorizer import (
     peel_log_sum,
     verify_equivalence,
 )
-from .folding import FoldContext, Partition, check_automorphism, connected_transversal, orbit_partition
+from .folding import FoldContext, Partition, connected_transversal, orbit_partition
 from .numerators import (
     character,
     leading_coefficient_closed_form,
@@ -76,12 +76,20 @@ def _field(obj, key, pointer):
 def _fraction(value, pointer) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
+    if not isinstance(value, str):
+        raise SchemaError(pointer, "expected an integer or a 'p/q' string")
+    try:
+        # Fraction multiplies p, q or a decimal by 10**power: refuse, before
+        # it is built, a numerator or denominator that could pass the digit
+        # limit _json_int keeps
+        mantissa, _, power = value.lower().partition("e")
+        digits = max(map(len, mantissa.split("/"))) + abs(int(power or 0))
+        limit = sys.get_int_max_str_digits()
+        if not limit or digits <= limit:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(pointer, f"not a rational: {value!r}") from None
-    raise SchemaError(pointer, "expected an integer or a 'p/q' string")
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(pointer, f"not a rational: {value!r}") from None
+    raise SchemaError(pointer, f"rational of up to {digits} digits is out of range")
 
 
 def _parse_gcm(payload, pointer="") -> CartanMatrix:
@@ -154,11 +162,9 @@ def _parse_partition(cm, payload, pointer="") -> Partition:
             raise SchemaError(f"{pointer}/classes", str(exc)) from None
     if "automorphisms" in payload:
         perms = _array(payload["automorphisms"], f"{pointer}/automorphisms")
-        gens = []
-        for i, perm in enumerate(perms):
-            images = _parse_nodes(cm, perm, f"{pointer}/automorphisms/{i}")
-            gens.append(check_automorphism(cm, images))
-        return orbit_partition(cm, gens)
+        # orbit_partition checks each generator as it is parsed, in order
+        return orbit_partition(cm, (_parse_nodes(cm, perm, f"{pointer}/automorphisms/{i}")
+                                    for i, perm in enumerate(perms)))
     raise SchemaError(pointer or "/", "expected 'classes' or 'automorphisms'")
 
 
@@ -413,14 +419,14 @@ def _load_payload(args):
         return {}
     if args.input is None:
         raise SchemaError("/", "--input is required for this command")
-    if args.input == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 raw = handle.read()
-        except OSError as exc:
-            raise SchemaError("/", f"cannot read input: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError("/", f"cannot read input: {exc}") from None
     try:
         payload = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=_json_int,
                              parse_float=_finite_float, parse_constant=_no_constant)

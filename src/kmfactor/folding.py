@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cartan import CartanMatrix, _Frozen, _mask, _nodes
+from .cartan import CartanMatrix, _Frozen, _mask, _node_ints, _nodes
 from .errors import (
     DomainError,
     NoLift,
@@ -41,7 +41,7 @@ class Partition(_Frozen):
 
     @classmethod
     def of(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
-        parts = sorted(tuple(sorted(set(p))) for p in classes)
+        parts = sorted(tuple(sorted(set(_node_ints(p)))) for p in classes)
         if () in parts:
             raise DomainError("a class is empty")
         flat = [i for p in parts for i in p]
@@ -72,7 +72,7 @@ class DiagramAutomorphism(_Frozen):
 
 def check_automorphism(cm: CartanMatrix, perm: Sequence[int]) -> DiagramAutomorphism:
     """Validate a permutation of 1..n as a diagram automorphism."""
-    images = tuple(perm)
+    images = _node_ints(perm)
     if sorted(images) != list(cm.nodes()):
         raise DomainError(f"{list(images)} is not a permutation of 1..{cm.n}")
     for i in cm.nodes():
@@ -87,9 +87,10 @@ def orbit_partition(cm: CartanMatrix,
                     gens: Iterable[DiagramAutomorphism | Sequence[int]]) -> Partition:
     """Orbits of the group generated by the given automorphisms.
 
-    Raw permutations are validated first.  Computed by union-find over the
-    generator images, which suffices because group orbits are generated by
-    the relations i ~ g(i).
+    Every generator, an automorphism object or a raw permutation, goes
+    through :func:`check_automorphism` first.  Computed by union-find over
+    the generator images, which suffices because group orbits are generated
+    by the relations i ~ g(i).
     """
     parent = list(range(cm.n + 1))
 
@@ -100,10 +101,7 @@ def orbit_partition(cm: CartanMatrix,
         return x
 
     for gen in gens:
-        if not isinstance(gen, DiagramAutomorphism):
-            gen = check_automorphism(cm, gen)
-        elif len(gen.images) != cm.n:
-            raise DomainError(f"permutation has {len(gen.images)} entries, expected {cm.n}")
+        gen = check_automorphism(cm, gen.images if isinstance(gen, DiagramAutomorphism) else gen)
         for i in cm.nodes():
             ri, rj = find(i), find(gen.apply(i))
             if ri != rj:

@@ -126,10 +126,11 @@ def leading_coefficient_closed_form(cm: CartanMatrix, nodes: Iterable[int]) -> F
 def root_multiplicities(cm: CartanMatrix, cap: int) -> dict[tuple[int, ...], int]:
     """Positive-root multiplicities up to the degree cap.
 
-    Inverts the layered identity between the full-set log-numerator and the
-    multiplicity generating sum: processing exponents by increasing degree,
-    the multiplicity at an exponent is its log coefficient minus the
-    contributions mult(base)/k of all proper divisors.  Only nonzero
+    The full-set log-numerator has coefficients c_e = sum over k | e of
+    mult(e/k)/k, so multiplying each by its degree gives the integers
+    deg(e)*c_e = sum over k | e of deg(e/k)*mult(e/k).  By increasing
+    degree, deg(e)*mult(e) is that minus the terms of the proper divisors,
+    and one exact division by deg(e) gives the multiplicity.  Only nonzero
     multiplicities are returned; a negative or non-integral value means the
     inputs were inconsistent and raises.
 
@@ -145,17 +146,18 @@ def root_multiplicities(cm: CartanMatrix, cap: int) -> dict[tuple[int, ...], int
     terms, den, pack = log_full._terms, log_full._den, log_full._pack
     out: dict[int, int] = {}
     for key in sorted(terms):  # key order is ascending degree
-        num, q = terms[key], den  # the multiplicity is num / q
-        g = math.gcd(key >> pack.shift, key & pack.lex)
+        d = key >> pack.shift
+        rest = terms[key] * d  # den * deg(e) * mult(e), once the divisors are out
+        g = math.gcd(d, key & pack.lex)
         for k in range(2, g + 1):
             if g % k == 0:
                 mb = out.get(key // k)
                 if mb:
-                    num, q = num * k - mb * q, q * k
-        m, r = divmod(num, q)
+                    rest -= den * (d // k) * mb
+        m, r = divmod(rest, d * den)
         if r or m < 0:
             raise NonIntegralMultiplicity(
-                f"value {Fraction(num, q)} at exponent {pack.exponent(key)}")
+                f"value {Fraction(rest, d * den)} at exponent {pack.exponent(key)}")
         if m:
             out[key] = m
     return {pack.exponent(key): m for key, m in out.items()}

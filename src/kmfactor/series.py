@@ -40,24 +40,25 @@ through a per-class digit map.
 All operations are pure, truncate at the common cap, and report terms in
 term order, so results are deterministic.
 
-Products, logarithms, inverses and exact quotients run on the stored keys:
+Products, exact quotients, inverses and logarithms run on the stored keys:
 
 * Integer coefficients.  A product's denominator is the product of the
-  operands' ones.  For the recurrences a unit 1+u with denominator D is
-  first rescaled by x -> Dx, which makes every coefficient of u an integer.
-* One scatter recurrence.  ``log1``, ``invert`` and ``divide`` finish the
-  result degree by degree; each finished nonzero term v_a adds w*v_a*u_g
-  into the slot of a+g for every term u_g of the divisor, so only pairs of
-  nonzero terms are visited.  For the logarithm w = deg(a) (the
-  log-derivative recurrence of Brent and Kung) and the slots are scaled by
-  lcm(1..cap), which keeps every division by a degree exact.
-* Work budgets.  Those three produce dense output, so they refuse up front,
-  with :class:`TermLimit`, any job whose possible terms exceed
-  ``_DENSE_TERM_LIMIT``: C(cap+m, m) over the m variables the operands use,
-  or for a quotient, if fewer, the sum over the numerator's terms e of
-  C(cap-deg(e)+m_u, m_u) over the m_u variables of the divisor.  A
-  product counts the pairs its loop will visit from the two degree
-  histograms and refuses more than ``_PAIR_LIMIT``.
+  operands' ones.  A quotient first rescales its divisor 1+u with
+  denominator D by x -> Dx, which makes every coefficient of u an integer.
+* One division kernel.  ``divide`` finishes the quotient degree by degree;
+  each finished nonzero term v_a adds -v_a*u_g into the slot of a+g for
+  every term u_g of the divisor, so only pairs of nonzero terms are
+  visited.  ``invert`` is 1/f, and ``log1`` is E^-1(E f / f), where E
+  multiplies each term by its total degree: E log f = E f / f is the
+  log-derivative identity of Brent and Kung, so the logarithm is one
+  quotient with each coefficient then divided by its degree.
+* Work budgets.  A quotient is dense, so ``divide``, and through it
+  ``invert`` and ``log1``, refuses up front with :class:`TermLimit` any job
+  whose possible terms exceed ``_DENSE_TERM_LIMIT``: the fewer of
+  C(cap+m, m) over the m variables the operands use and the sum over the
+  numerator's terms e of C(cap-deg(e)+m_u, m_u) over the m_u variables of
+  the divisor.  A product counts the pairs its loop will visit from the two
+  degree histograms and refuses more than ``_PAIR_LIMIT``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import add, and_, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -73,9 +74,9 @@ from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
 
 Exponent = tuple[int, ...]
 
-# Most terms log1/invert/divide may have to build.  A dense 91390-term inverse
-# peaks at about 34 MB; the largest job in the tests and the benchmark has
-# 10626 terms.
+# Most terms a quotient, and so log1 or invert, may have to build.  A dense
+# 91390-term inverse peaks at about 34 MB; the largest job in the tests and
+# the benchmark has 10626 terms.
 _DENSE_TERM_LIMIT = 100_000
 # Most term pairs a product may visit, a few seconds of work; the largest
 # product in the benchmark visits 7436.
@@ -251,12 +252,13 @@ class Series:
 
     def coefficient(self, exponent: Sequence[int]) -> int | Fraction:
         """Coefficient at ``exponent``; 0 for any exponent not stored, including
-        ones of the wrong length, with a negative coordinate or over the cap."""
-        exp = tuple(exponent)
-        if (len(exp) != self.nvars or not all(isinstance(e, int) and e >= 0 for e in exp)
-                or sum(exp) > self.cap):
+        ones the constructor refuses (the wrong length, a coordinate that is
+        negative, a bool or not an int) and ones over the cap."""
+        try:
+            exp = _check_exponent(exponent, self.nvars)
+        except DomainError:
             return self._value(0)
-        return self._value(self._terms.get(self._pack.key(exp), 0))
+        return self._value(self._terms.get(self._pack.key(exp), 0) if sum(exp) <= self.cap else 0)
 
     @property
     def constant_term(self) -> int | Fraction:
@@ -363,82 +365,72 @@ class Series:
     # -- series functions ---------------------------------------------------
 
     def log1(self) -> "Series":
-        """Logarithm of a series with constant term 1.
+        """Logarithm of a series f with constant term 1, as E^-1(E f / f).
 
-        For integer u the coefficients of log(1+u) up to degree cap have
-        denominators dividing lcm(1..cap), so the recurrence runs on slots
-        scaled by it; a division by a degree that leaves a remainder raises
-        ``ArithmeticError``.
+        E multiplies each term by its total degree, and E log f = E f / f,
+        so the logarithm is one exact quotient whose coefficients are then
+        divided by their degrees, over lcm(1..cap).
         """
-        return self._recurrence(None)
+        shift, cap = self._pack.shift, self.cap
+        grown = Series._new(self.nvars, cap,
+                            {k: n * (k >> shift) for k, n in self._terms.items() if k},
+                            self._den)
+        q = grown.divide(self)
+        lcm = math.lcm(*range(1, cap + 1))
+        return Series._new(self.nvars, cap,
+                           {k: n * (lcm // (k >> shift)) for k, n in q._terms.items()},
+                           q._den * lcm)
 
     def invert(self) -> "Series":
         """Multiplicative inverse of a series with constant term 1."""
         return Series.one(self.nvars, self.cap).divide(self)
 
     def divide(self, den: "Series") -> "Series":
-        """Exact quotient ``self / den`` of a divisor with constant term 1."""
+        """Exact quotient ``self / den`` of a divisor with constant term 1; see
+        the module doc."""
         self._check_compatible(den)
-        return den._recurrence(self)
-
-    def _recurrence(self, num: "Series | None") -> "Series":
-        """``num / self``, or ``log(self)`` when ``num`` is None; see the module doc."""
         nvars, cap, pack = self.nvars, self.cap, self._pack
-        if self._terms.get(0) != self._den:  # key 0 is the zero exponent
-            raise ConstantTermNotOne(f"constant term is {self.constant_term}, expected 1")
-        u = sorted(item for item in self._terms.items() if item[0])
+        if den._terms.get(0) != den._den:  # key 0 is the zero exponent
+            raise ConstantTermNotOne(f"constant term is {den.constant_term}, expected 1")
+        u = sorted(item for item in den._terms.items() if item[0])
         if not u:
-            return Series._new(nvars, cap, {}, 1) if num is None else num
+            return self
         shift = pack.shift
-        unit_fields = reduce(or_, self._terms)  # a coordinate in use is nonzero here
-        fields = unit_fields if num is None else reduce(or_, num._terms, unit_fields)
-        used = next(pack.supports((fields,))).bit_count()
+        unit_fields = reduce(or_, den._terms)  # a coordinate in use is nonzero here
+        used = next(pack.supports((reduce(or_, self._terms, unit_fields),))).bit_count()
         bound = math.comb(cap + used, used)
-        if bound > _DENSE_TERM_LIMIT and num is not None:
+        if bound > _DENSE_TERM_LIMIT:
             unit_vars = next(pack.supports((unit_fields,))).bit_count()
-            bound = min(bound, _quotient_bound(cap, unit_vars, (k >> shift for k in num._terms)))
+            bound = min(bound, _quotient_bound(cap, unit_vars, (k >> shift for k in self._terms)))
         if bound > _DENSE_TERM_LIMIT:
             raise TermLimit(f"up to {bound} terms exceed the budget of {_DENSE_TERM_LIMIT}")
-        grade = self._den
+        grade = den._den
         unit = [(k, c * grade ** ((k >> shift) - 1)) for k, c in u]  # x -> grade*x
         buckets: list[dict[int, int]] = [{} for _ in range(cap + 1)]
-        if num is None:  # slot a starts at deg(a) * lcm(1..cap) * u_a
-            den = math.lcm(*range(1, cap + 1))
-            for k, c in unit:
-                buckets[k >> shift][k] = (k >> shift) * den * c
-        else:
-            den = num._den
-            for k, c in num._terms.items():
-                buckets[k >> shift][k] = c * grade ** (k >> shift)
-        groups: list[tuple[int, list[tuple[int, int]]]] = []  # unit terms by degree
-        for k, c in unit:
-            if not groups or groups[-1][0] != k >> shift:
-                groups.append((k >> shift, []))
-            groups[-1][1].append((k, c))
+        for k, c in self._terms.items():
+            buckets[k >> shift][k] = c * grade ** (k >> shift)
+        groups = [(e, list(group))  # unit terms by degree
+                  for e, group in groupby(unit, lambda term: term[0] >> shift)]
         out: dict[int, int] = {}
         for d, bucket in enumerate(buckets):
             # the slots a finished term of degree d scatters into, per unit degree
             plan = [(buckets[d + e], buckets[d + e].get, group)
                     for e, group in groups if d + e <= cap]
             for ka, v in bucket.items():
-                if num is None:
-                    v, r = divmod(v, d)
-                    if r:
-                        raise ArithmeticError("log recurrence lost exactness")
                 if not v:
                     continue
                 out[ka] = v
-                w = d * v if num is None else v
                 for target, get, group in plan:
                     for kg, cg in group:
                         k = ka + kg
-                        target[k] = get(k, 0) - w * cg
+                        target[k] = get(k, 0) - v * cg
+        qden = self._den
         if grade != 1 and out:  # bring every degree over grade**top
             top = max(out) >> shift
             powers = [grade ** (top - d) for d in range(top + 1)]
-            den *= powers[0]
+            qden *= powers[0]
             out = {k: v * powers[k >> shift] for k, v in out.items()}
-        return Series._new(nvars, cap, out, den)
+        return Series._new(nvars, cap, out, qden)
 
     def fold(self, partition) -> "Series":
         """Collapse variables along a :class:`kmfactor.folding.Partition`.

@@ -320,6 +320,37 @@ def test_missing_input_and_bad_json(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_undecodable_input_rejected(capsys, tmp_path):
+    # a file that is not UTF-8 ended in a UnicodeDecodeError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    code = main(["validate", "--input", str(bad)])
+    doc = strict_json(capsys.readouterr().out)
+    assert code == 2 and doc["error"]["type"] == "SchemaError"
+    assert doc["error"]["pointer"] == "/"
+    assert doc["error"]["message"].startswith("cannot read input")
+
+
+def test_rationals_over_the_digit_limit_rejected(capsys, tmp_path):
+    # an exponent form scales by a power of ten: 1e10000000 took seconds to
+    # build, and 1e5000 and 1e-5000 broke the formatting of a later message
+    def factor(values):
+        payload = {"gcm": {"matrix": [[2]]}, "degree": 4, "series": {
+            "terms": [[[i], v] for i, v in enumerate(values, start=1)]}}
+        code, out = run(capsys, tmp_path, "factor", payload)
+        return code, strict_json(out)
+
+    for value in ("1e10000000", "1e5000", "1e-5000"):
+        code, doc = factor(["1", value])
+        assert code == 2 and doc["error"]["type"] == "SchemaError", value
+        assert doc["error"]["pointer"] == "/series/terms/1/1"
+    # small exponent and decimal forms are still rationals
+    for values, count in ((["1", "5e-1", "1/3", "2.5e-1"], 1),
+                          (["1e3", "5e2", "1000/3", "2.5e2"], 1000)):
+        code, doc = factor(values)
+        assert code == 0 and doc["factors"] == [{"I": ["1"], "lam": {"1": 0}}] * count
+
+
 def test_labels_accepted_in_inputs(capsys, tmp_path):
     payload = {"gcm": {"matrix": [[2, -1], [-1, 2]], "labels": ["a", "b"]},
                "degree": 3, "I": ["a"], "lam": {"a": 1}}
@@ -377,7 +408,8 @@ def payloads(draw):
             {str(i): st.integers(0, 2) for i in I})}))
     top = draw(st.one_of(index, st.fixed_dictionaries(
         {"I": nodes, "lam": st.dictionaries(node.map(str), st.integers(-1, 3))})))
-    rational = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "x", "1/0"]),
+    rational = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "x", "1/0",
+                                                                 "1e5000", "1e-5000"]),
                          st.floats())
     fields = {
         "gcm": st.fixed_dictionaries({"matrix": st.just(rows)}, optional={

@@ -26,7 +26,7 @@ from kmfactor.errors import (
     NoTransversal,
     SizeLimit,
 )
-from kmfactor.folding import _folded_log_numerator
+from kmfactor.folding import DiagramAutomorphism, _folded_log_numerator
 from oracles import (
     brute_automorphisms,
     brute_connected_subsets,
@@ -75,6 +75,11 @@ def test_partition_canonical_order():
         Partition.of(2, [[1, 2], []])
     with pytest.raises(DomainError):
         Partition.of(3, [[1, 2], [2, 3]])
+    for member in (True, 2.0, "2"):  # a bool or a non-int is no node
+        with pytest.raises(DomainError):
+            Partition.of(2, [[1], [member]])
+    with pytest.raises(DomainError):
+        Partition.of(2, [[True], [2]])
 
 
 def test_check_automorphism_a3(a3):
@@ -83,11 +88,24 @@ def test_check_automorphism_a3(a3):
     assert check_automorphism(a3, [1, 2, 3]).images == (1, 2, 3)
 
 
-def test_check_automorphism_rejects(b2):
+def test_check_automorphism_rejects(a3, b2):
     with pytest.raises(NotCompatible):
         check_automorphism(b2, [2, 1])
     with pytest.raises(DomainError):
         check_automorphism(b2, [1, 1])
+    for images in ([True, 2, 3], [1.0, 2, 3], ["1", 2, 3]):
+        with pytest.raises(DomainError):
+            check_automorphism(a3, images)
+
+
+def test_orbit_partition_checks_automorphism_objects(a3):
+    # an object is checked like its images given as a list
+    assert orbit_partition(a3, [DiagramAutomorphism((3, 2, 1))]).classes == ((1, 3), (2,))
+    for images, error in (((1, 1, 1), DomainError), ((2, 1, 3), NotCompatible),
+                          ((1, 2), DomainError)):
+        for gen in (DiagramAutomorphism(images), list(images)):
+            with pytest.raises(error):
+                orbit_partition(a3, [gen])
 
 
 def test_orbit_partition(a3, a1aff):

@@ -77,8 +77,9 @@ def test_coefficient_never_aliases():
     # (0, 4, -3) packs to the radix-3 key of (1, 0, 0), and (0, 9, -8) to its
     # key in 3-bit fields; neither is stored, and neither are the rest
     for exp in ((0, 4, -3), (0, 9, -8), (1, 0), (1, 0, 0, 0), (-1, 1, 0),
-                (3, 0, 0), (2, 1, 0), (0, 0, 0), ()):
+                (3, 0, 0), (2, 1, 0), (0, 0, 0), (), (True, 0, 0), (1.0, 0, 0)):
         assert s.coefficient(exp) == 0
+    assert series(2, 3, {(1, 0): 5}).coefficient((True, 0)) == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -289,6 +290,23 @@ def test_log_of_product_is_sum(a, b):
     assert (a * b).log1() == a.log1() + b.log1()
 
 
+def test_log_and_inverse_are_one_division():
+    # divide is the one dense kernel: log1 is E^-1(E f / f) and invert is 1 / f
+    f = series(2, 6, A2_PRODUCT)
+    divide = Series.divide
+    divisors = []
+
+    def counted(num, den):
+        divisors.append(den)
+        return divide(num, den)
+
+    with mock.patch.object(Series, "divide", counted):
+        for op in (Series.log1, Series.invert):
+            divisors.clear()
+            op(f)
+            assert divisors == [f], op
+
+
 # -- inverse --------------------------------------------------------------------------
 
 def test_invert_geometric():
@@ -399,6 +417,15 @@ def test_division_budget_counts_quotient_terms():
     quotient = num.divide(unit)
     assert len(quotient) == 1140
     assert quotient == unit.invert() * num
+
+
+def test_log_shares_the_quotient_budget():
+    # all 12 variables in use: C(32, 12) possible terms, but the quotient
+    # E f / f behind log(1 - m), for a monomial m of degree 13, has at most
+    # C(19, 12) = 50388 terms m*g with deg(g) <= 7
+    m = (2,) + (1,) * 11
+    f = Series(12, 20, {(0,) * 12: 1, m: -1})
+    assert f.log1() == Series(12, 20, {m: -1})
 
 
 @settings(max_examples=60, deadline=None)
