@@ -84,7 +84,7 @@ def _fraction(value, pointer) -> Fraction:
         # limit _json_int keeps
         mantissa, _, power = value.lower().partition("e")
         digits = max(map(len, mantissa.split("/"))) + abs(int(power or 0))
-        limit = sys.get_int_max_str_digits()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
         if not limit or digits <= limit:
             return Fraction(value)
     except (ValueError, ZeroDivisionError):

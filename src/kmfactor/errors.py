@@ -5,6 +5,18 @@ callers (notably the CLI) can distinguish bad domain input from malformed
 JSON (:class:`SchemaError`).
 """
 
+import math
+
+
+def number_text(value) -> str:
+    """``str`` of an int or a Fraction for a message, or, past the
+    interpreter's limit on digits, a note of its size instead."""
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        return f"<a number of about {math.ceil(bits * math.log10(2))} digits>"
+
 
 class DomainError(ValueError):
     """An input breaks a documented precondition or invariant."""

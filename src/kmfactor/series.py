@@ -53,11 +53,11 @@ Products, exact quotients, inverses and logarithms run on the stored keys:
   log-derivative identity of Brent and Kung, so the logarithm is one
   quotient with each coefficient then divided by its degree.
 * Work budgets.  A quotient is dense, so ``divide``, and through it
-  ``invert`` and ``log1``, refuses up front with :class:`TermLimit` any job
-  whose possible terms exceed ``_DENSE_TERM_LIMIT``: the fewer of
-  C(cap+m, m) over the m variables the operands use and the sum over the
-  numerator's terms e of C(cap-deg(e)+m_u, m_u) over the m_u variables of
-  the divisor.  A product counts the pairs its loop will visit from the two
+  ``invert`` and ``log1``, refuses up front with :class:`TermLimit` a job
+  of more than ``_DENSE_TERM_LIMIT`` degrees (cap+1) or possible terms: the
+  fewer of C(cap+m, m) over the m variables the operands use and the sum
+  over the numerator's terms e of C(cap-deg(e)+m_u, m_u) over the m_u
+  variables of the divisor.  A product counts its term pairs from the two
   degree histograms and refuses more than ``_PAIR_LIMIT``.
 """
 
@@ -66,11 +66,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import add, and_, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit
+from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit, number_text
 
 Exponent = tuple[int, ...]
 
@@ -369,14 +369,14 @@ class Series:
 
         E multiplies each term by its total degree, and E log f = E f / f,
         so the logarithm is one exact quotient whose coefficients are then
-        divided by their degrees, over lcm(1..cap).
+        divided by their degrees, over the lcm of the degrees that occur.
         """
         shift, cap = self._pack.shift, self.cap
         grown = Series._new(self.nvars, cap,
                             {k: n * (k >> shift) for k, n in self._terms.items() if k},
                             self._den)
         q = grown.divide(self)
-        lcm = math.lcm(*range(1, cap + 1))
+        lcm = math.lcm(*{k >> shift for k in q._terms})
         return Series._new(self.nvars, cap,
                            {k: n * (lcm // (k >> shift)) for k, n in q._terms.items()},
                            q._den * lcm)
@@ -391,7 +391,8 @@ class Series:
         self._check_compatible(den)
         nvars, cap, pack = self.nvars, self.cap, self._pack
         if den._terms.get(0) != den._den:  # key 0 is the zero exponent
-            raise ConstantTermNotOne(f"constant term is {den.constant_term}, expected 1")
+            raise ConstantTermNotOne(
+                f"constant term is {number_text(den.constant_term)}, expected 1")
         u = sorted(item for item in den._terms.items() if item[0])
         if not u:
             return self
@@ -402,15 +403,19 @@ class Series:
         if bound > _DENSE_TERM_LIMIT:
             unit_vars = next(pack.supports((unit_fields,))).bit_count()
             bound = min(bound, _quotient_bound(cap, unit_vars, (k >> shift for k in self._terms)))
-        if bound > _DENSE_TERM_LIMIT:
-            raise TermLimit(f"up to {bound} terms exceed the budget of {_DENSE_TERM_LIMIT}")
+        if max(bound, cap + 1) > _DENSE_TERM_LIMIT:
+            raise TermLimit(f"up to {bound} terms over {cap + 1} degrees exceed the "
+                            f"budget of {_DENSE_TERM_LIMIT}")
         grade = den._den
         unit = [(k, c * grade ** ((k >> shift) - 1)) for k, c in u]  # x -> grade*x
         buckets: list[dict[int, int]] = [{} for _ in range(cap + 1)]
         for k, c in self._terms.items():
             buckets[k >> shift][k] = c * grade ** (k >> shift)
-        groups = [(e, list(group))  # unit terms by degree
-                  for e, group in groupby(unit, lambda term: term[0] >> shift)]
+        groups: list[tuple[int, list[tuple[int, int]]]] = []  # unit terms by degree
+        for k, c in unit:
+            if not groups or groups[-1][0] != k >> shift:
+                groups.append((k >> shift, []))
+            groups[-1][1].append((k, c))
         out: dict[int, int] = {}
         for d, bucket in enumerate(buckets):
             # the slots a finished term of degree d scatters into, per unit degree

@@ -344,6 +344,15 @@ def test_rationals_over_the_digit_limit_rejected(capsys, tmp_path):
         code, doc = factor(["1", value])
         assert code == 2 and doc["error"]["type"] == "SchemaError", value
         assert doc["error"]["pointer"] == "/series/terms/1/1"
+    # just under the limit, a value is taken, and a residual past the limit
+    # is named by its size: 1e-4299 - 1/11 at x^11 has an 11 * 10**4299
+    # denominator
+    payload = {"gcm": {"matrix": [[2]]}, "degree": 11, "series": {
+        "terms": [[[k], f"1/{k}"] for k in range(1, 11)] + [[[11], "1e-4299"]]}}
+    code, out = run(capsys, tmp_path, "factor", payload)
+    doc = strict_json(out)
+    assert code == 1 and doc["error"]["type"] == "NegativeLeadingCoefficient"
+    assert "about 4301 digits" in doc["error"]["message"]
     # small exponent and decimal forms are still rationals
     for values, count in ((["1", "5e-1", "1/3", "2.5e-1"], 1),
                           (["1e3", "5e2", "1000/3", "2.5e2"], 1000)):

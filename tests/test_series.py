@@ -326,6 +326,9 @@ def test_invert_of_one():
 def test_invert_requires_unit():
     with pytest.raises(ConstantTermNotOne):
         series(1, 3, {(0,): 2}).invert()
+    # a constant term past the interpreter's digit limit is named by its size
+    with pytest.raises(ConstantTermNotOne, match="about 5001 digits"):
+        series(1, 3, {(0,): Fraction(1, 10**5000)}).invert()
 
 
 @settings(max_examples=50, deadline=None)
@@ -402,6 +405,11 @@ def test_dense_work_budget():
         with pytest.raises(TermLimit):
             op()
     assert (huge * huge).coefficient((2,)) == 1  # products are bounded by their inputs
+    # a log without a non-constant term is 0 at once, whatever the cap, and
+    # the quotient behind log(1 - x^cap) has 1 possible term but cap + 1 degrees
+    assert Series.one(1, 10**9).log1().is_zero
+    with pytest.raises(TermLimit):
+        series(1, 10**9, {(0,): 1, (10**9,): -1}).log1()
     # the budget counts only the variables the operands use
     sparse = series(40, 20, {(0,) * 40: 1, (1,) + (0,) * 39: -1})
     assert len(sparse.invert()) == 21
