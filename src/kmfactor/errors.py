@@ -8,7 +8,7 @@ JSON (:class:`SchemaError`).
 import math
 
 
-def number_text(value) -> str:
+def _number_text(value) -> str:
     """``str`` of an int or a Fraction for a message, or, past the
     interpreter's limit on digits, a note of its size instead."""
     try:

@@ -37,7 +37,7 @@ from .errors import (
     NotEquiconnectedCandidate,
     TermLimit,
     TooManyFactors,
-    number_text,
+    _number_text,
 )
 from .folding import FoldContext
 from .numerators import log_numerator
@@ -106,7 +106,7 @@ def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResul
         coeff = residual.terms[key]
         if coeff <= 0:
             raise NegativeLeadingCoefficient(
-                f"coefficient {number_text(Fraction(coeff, residual.den))} "
+                f"coefficient {_number_text(Fraction(coeff, residual.den))} "
                 f"at candidate {candidate}")
         if key in peeled:
             raise NonzeroResidual(f"candidate {candidate} came back after it was peeled")
@@ -116,7 +116,7 @@ def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResul
         m, r = divmod(coeff * t._den, residual.den * marker) if marker > 0 else (0, 1)
         if r or m < 1:
             raise NonzeroResidual(
-                f"coefficient {number_text(Fraction(coeff, residual.den))} "
+                f"coefficient {_number_text(Fraction(coeff, residual.den))} "
                 f"at candidate {candidate} "
                 f"is no whole multiple of the marker coefficient {t.coefficient(candidate)}")
         if len(factors) + m > _DENSE_TERM_LIMIT:

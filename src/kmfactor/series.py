@@ -70,7 +70,7 @@ from itertools import repeat
 from operator import add, and_, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit, number_text
+from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit, _number_text
 
 Exponent = tuple[int, ...]
 
@@ -392,7 +392,7 @@ class Series:
         nvars, cap, pack = self.nvars, self.cap, self._pack
         if den._terms.get(0) != den._den:  # key 0 is the zero exponent
             raise ConstantTermNotOne(
-                f"constant term is {number_text(den.constant_term)}, expected 1")
+                f"constant term is {_number_text(den.constant_term)}, expected 1")
         u = sorted(item for item in den._terms.items() if item[0])
         if not u:
             return self
