@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .cartan import CartanMatrix, validate_gcm
-from .errors import CapTooSmall, DomainError, SchemaError
+from .errors import CapTooSmall, DomainError, SchemaError, _number_text
 from .factorizer import (
     peel_folded,
     peel_log_sum,
@@ -41,11 +41,15 @@ from .numerators import (
     marker_exponent,
     root_multiplicities,
 )
-from .series import Series
+from .series import Series, _Sum
 from .weyl import PVIndex, normalized_numerator
 
 
 # -- schema helpers ------------------------------------------------------------
+
+# Most characters of a bad string that an error message echoes.
+_ECHO_LIMIT = 40
+
 
 def _object(value, pointer):
     if not isinstance(value, dict):
@@ -88,7 +92,9 @@ def _fraction(value, pointer) -> Fraction:
         if not limit or digits <= limit:
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise SchemaError(pointer, f"not a rational: {value!r}") from None
+        shown = repr(value) if len(value) <= _ECHO_LIMIT else (
+            f"{value[:_ECHO_LIMIT]!r}... ({len(value)} characters)")
+        raise SchemaError(pointer, f"not a rational: {shown}") from None
     raise SchemaError(pointer, f"rational of up to {digits} digits is out of range")
 
 
@@ -232,7 +238,14 @@ def _require_marker_fits(cm, pv, cap):
 
 def _cmd_validate(args, payload):
     cm = _parse_gcm(payload)
-    return {"ok": True, "symmetrizer": [str(d) for d in cm.symmetrizer]}, None
+    symmetrizer = []
+    for i, d in zip(cm.nodes(), cm.symmetrizer):
+        try:
+            symmetrizer.append(str(d))
+        except ValueError:  # past the interpreter's limit on digits
+            raise DomainError(f"symmetrizer entry at node {cm.label(i)!r} is "
+                              f"{_number_text(d)}, too long to print") from None
+    return {"ok": True, "symmetrizer": symmetrizer}, None
 
 
 def _cmd_numerator(args, payload, log=False):
@@ -307,13 +320,14 @@ def _cmd_factor(args, payload, folded=False):
         nvars, term = cm.n, functools.partial(log_numerator, cm)
     if "log_sum_of" in payload:
         entries = _array(payload["log_sum_of"], "/log_sum_of")
-        total = Series.zero(nvars, cap)
+        acc = _Sum(Series.zero(nvars, cap))  # summed in place, not copied per entry
         for i, entry in enumerate(entries):
             pv = _parse_index(cm, entry, f"/log_sum_of/{i}")
             if folded:
                 ctx.check_symmetric(pv)
             _require_marker_fits(cm, pv, cap)
-            total = total + term(pv, cap)
+            acc.add(term(pv, cap), 1)
+        total = Series._new(nvars, cap, acc.terms, acc.den)
     elif "series" in payload:
         total = _parse_series(payload["series"], nvars, cap, "/series")
     else:

@@ -39,7 +39,7 @@ from .errors import (
     TooManyFactors,
     _number_text,
 )
-from .folding import FoldContext
+from .folding import FoldContext, _lift_data
 from .numerators import log_numerator
 from .series import _DENSE_TERM_LIMIT, Series, _coefficient, _Sum, support
 from .weyl import PVIndex
@@ -192,15 +192,16 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
     if total.constant_term:
         raise DomainError("a folded sum of log-numerators has zero constant term")
 
-    classes = ctx.partition.classes
+    cm, partition = ctx.cm, ctx.partition
+    classes = partition.classes
 
     def decode(gamma: tuple[int, ...]) -> PVIndex:
         nodes = tuple(sorted(i for c in support(gamma) for i in classes[c - 1]))
-        if not ctx.cm._connected(nodes):
+        if not cm._connected(nodes):
             raise NotEquiconnectedCandidate(
                 f"class union {list(nodes)} of candidate {gamma} is disconnected")
         try:
-            data = ctx._lift_data(nodes)
+            data = _lift_data(cm, partition, nodes)
         except NoLift as exc:
             raise NotEquiconnectedCandidate(str(exc)) from exc
         if data.lean_counts is None:

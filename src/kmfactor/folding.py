@@ -9,6 +9,11 @@ intersection count with every class.  The folded marker exponent of a
 symmetric index is built from those counts and does not depend on the lean
 lift chosen.  Lifts and transversals grow on node bitmasks, one neighbour at
 a time, and a lift is grown no further: its strict supersets are not minimal.
+
+:class:`Partition` and :class:`DiagramAutomorphism` check their input in
+their one constructor.  :class:`FoldContext` is an immutable pair of a
+matrix and a partition; its lift data and folded log-numerators live in the
+package's bounded caches.
 """
 
 from __future__ import annotations
@@ -35,19 +40,25 @@ _LIFT_NODE_LIMIT = 16
 
 
 class Partition(_Frozen):
-    """Nonempty disjoint classes covering 1..n, ordered by smallest member."""
+    """Nonempty disjoint classes covering 1..n, each sorted, ordered by
+    smallest member; any other input is refused with :class:`DomainError`."""
 
     __slots__ = ("n", "classes")
 
-    @classmethod
-    def of(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
-        parts = sorted(tuple(sorted(set(_node_ints(p)))) for p in classes)
+    def __init__(self, n: int, classes: Iterable[Iterable[int]]):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise DomainError(f"partition size {n!r} is not a nonnegative integer")
+        parts = sorted(tuple(sorted(_node_ints(p))) for p in classes)
         if () in parts:
             raise DomainError("a class is empty")
-        flat = [i for p in parts for i in p]
-        if sorted(flat) != list(range(1, n + 1)):
+        if sorted(i for p in parts for i in p) != list(range(1, n + 1)):
             raise DomainError(f"classes do not partition 1..{n}")
-        return cls(n, tuple(parts))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "classes", tuple(parts))
+
+    @classmethod
+    def of(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
+        return cls(n, classes)
 
     @property
     def num_classes(self) -> int:
@@ -66,6 +77,12 @@ class DiagramAutomorphism(_Frozen):
 
     __slots__ = ("images",)
 
+    def __init__(self, images: Iterable[int]):
+        images = _node_ints(images)
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise DomainError(f"{list(images)} is not a permutation of 1..{len(images)}")
+        object.__setattr__(self, "images", images)
+
     def apply(self, node: int) -> int:
         return self.images[node - 1]
 
@@ -73,14 +90,15 @@ class DiagramAutomorphism(_Frozen):
 def check_automorphism(cm: CartanMatrix, perm: Sequence[int]) -> DiagramAutomorphism:
     """Validate a permutation of 1..n as a diagram automorphism."""
     images = _node_ints(perm)
-    if sorted(images) != list(cm.nodes()):
+    if len(images) != cm.n:
         raise DomainError(f"{list(images)} is not a permutation of 1..{cm.n}")
+    auto = DiagramAutomorphism(images)
     for i in cm.nodes():
         for j in cm.nodes():
             if cm.entry(images[i - 1], images[j - 1]) != cm.entry(i, j):
                 raise NotCompatible(
                     f"entry ({i},{j}) is not preserved by the permutation")
-    return DiagramAutomorphism(images)
+    return auto
 
 
 def orbit_partition(cm: CartanMatrix,
@@ -155,78 +173,24 @@ class LiftData(_Frozen):
         return self.lean_counts is not None
 
 
-class FoldContext:
-    """A Cartan matrix with a node partition and cached lift data.
+class FoldContext(_Frozen):
+    """A Cartan matrix with a node partition of the same size; an immutable
+    value, whose lift data and folded log-numerators are computed on first
+    use into the package's bounded caches, so equal contexts share them."""
 
-    Lift growth is exponential in the union's size, so results are cached
-    on first use; instances are immutable apart from that cache and safe to
-    share.
-    """
+    __slots__ = ("cm", "partition")
 
     def __init__(self, cm: CartanMatrix, partition: Partition):
         if partition.n != cm.n:
             raise DomainError(
                 f"partition covers 1..{partition.n}, matrix has {cm.n} nodes")
-        self.cm = cm
-        self.partition = partition
-        self._lift_cache: dict[tuple[int, ...], LiftData] = {}
+        object.__setattr__(self, "cm", cm)
+        object.__setattr__(self, "partition", partition)
 
     # -- lifts -----------------------------------------------------------
 
     def lift_data(self, nodes: Iterable[int]) -> LiftData:
-        return self._lift_data(self.cm.check_nodes(nodes))
-
-    def _lift_data(self, K: tuple[int, ...]) -> LiftData:
-        """:meth:`lift_data` for a node tuple known to be valid, distinct and sorted."""
-        cached = self._lift_cache.get(K)
-        if cached is None:
-            cached = self._lift_cache[K] = self._compute_lift_data(K)
-        return cached
-
-    def _compute_lift_data(self, K: tuple[int, ...]) -> LiftData:
-        """Connected masks grow from each node of K one neighbour at a time,
-        and one that meets every class is kept as a lift and grown no further.
-        Every minimal lift is reached, through connected proper subsets, each
-        of which misses a class."""
-        if not K:
-            raise DomainError("class union must be nonempty")
-        if len(K) > _LIFT_NODE_LIMIT:
-            raise SizeLimit(
-                f"lift enumeration is capped at {_LIFT_NODE_LIMIT} nodes, got {len(K)}")
-        union = _mask(K)
-        classes = [_mask(p) for p in self.partition.classes]
-        class_indices = [c for c, m in enumerate(classes) if m & union]
-        for c in class_indices:
-            if classes[c] & ~union:
-                raise NotClassUnion(
-                    f"{list(K)} cuts the class {list(self.partition.classes[c])}")
-        parts = [classes[c] for c in class_indices]
-        stack = [1 << (i - 1) for i in K]
-        seen, lifts = set(stack), []
-        while stack:
-            s = stack.pop()
-            if all(s & p for p in parts):
-                lifts.append(s)
-                continue
-            for j in _nodes(self.cm._neighbours(s) & union & ~s):
-                grown = s | 1 << (j - 1)
-                if grown not in seen:
-                    seen.add(grown)
-                    stack.append(grown)
-        if not lifts:
-            raise NoLift(f"no connected subset of {list(K)} meets every class")
-        lifts.sort(key=int.bit_count)
-        minimal: list[int] = []
-        for s in lifts:
-            if not any(m & s == m for m in minimal):
-                minimal.append(s)
-        vectors = [tuple((s & p).bit_count() for p in parts) for s in minimal]
-        meet = tuple(min(col) for col in zip(*vectors))
-        equi = meet in vectors
-        ordered = sorted(map(_nodes, minimal))
-        lean = sorted(_nodes(s) for s, v in zip(minimal, vectors) if v == meet)
-        return LiftData(tuple(ordered), tuple(lean) if equi else (),
-                        tuple(class_indices), meet if equi else None)
+        return _lift_data(self.cm, self.partition, self.cm.check_nodes(nodes))
 
     def lean_lifts(self, nodes: Iterable[int]):
         """Inclusion-minimal lifts, the lean ones among them, and the verdict."""
@@ -287,3 +251,53 @@ class FoldContext:
 def _folded_log_numerator(cm: CartanMatrix, partition: Partition, pv: PVIndex,
                           cap: int) -> Series:
     return log_numerator(cm, pv, cap).fold(partition)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _lift_data(cm: CartanMatrix, partition: Partition, K: tuple[int, ...]) -> LiftData:
+    """Lift data of a node tuple known to be valid, distinct and sorted.
+
+    Connected masks grow from each node of K one neighbour at a time, and
+    one that meets every class is kept as a lift and grown no further.
+    Every minimal lift is reached, through connected proper subsets, each
+    of which misses a class.
+    """
+    if not K:
+        raise DomainError("class union must be nonempty")
+    if len(K) > _LIFT_NODE_LIMIT:
+        raise SizeLimit(
+            f"lift enumeration is capped at {_LIFT_NODE_LIMIT} nodes, got {len(K)}")
+    union = _mask(K)
+    classes = [_mask(p) for p in partition.classes]
+    class_indices = [c for c, m in enumerate(classes) if m & union]
+    for c in class_indices:
+        if classes[c] & ~union:
+            raise NotClassUnion(
+                f"{list(K)} cuts the class {list(partition.classes[c])}")
+    parts = [classes[c] for c in class_indices]
+    stack = [1 << (i - 1) for i in K]
+    seen, lifts = set(stack), []
+    while stack:
+        s = stack.pop()
+        if all(s & p for p in parts):
+            lifts.append(s)
+            continue
+        for j in _nodes(cm._neighbours(s) & union & ~s):
+            grown = s | 1 << (j - 1)
+            if grown not in seen:
+                seen.add(grown)
+                stack.append(grown)
+    if not lifts:
+        raise NoLift(f"no connected subset of {list(K)} meets every class")
+    lifts.sort(key=int.bit_count)
+    minimal: list[int] = []
+    for s in lifts:
+        if not any(m & s == m for m in minimal):
+            minimal.append(s)
+    vectors = [tuple((s & p).bit_count() for p in parts) for s in minimal]
+    meet = tuple(min(col) for col in zip(*vectors))
+    equi = meet in vectors
+    ordered = sorted(map(_nodes, minimal))
+    lean = sorted(_nodes(s) for s, v in zip(minimal, vectors) if v == meet)
+    return LiftData(tuple(ordered), tuple(lean) if equi else (),
+                    tuple(class_indices), meet if equi else None)

@@ -15,7 +15,7 @@ from .cartan import CartanMatrix, validate_gcm
 from .errors import NotSymmetrizable
 from .factorizer import peel_log_sum
 from .numerators import log_numerator, marker_exponent
-from .series import Series
+from .series import Series, _Sum
 from .weyl import PVIndex
 
 
@@ -60,10 +60,10 @@ def random_factors(rng: random.Random, cm: CartanMatrix,
 def round_trip(cm: CartanMatrix, factors: list[PVIndex], margin: int = 2) -> bool:
     """Forward-compute the log sum, peel it, and compare multisets exactly."""
     cap = max(sum(marker_exponent(cm, pv)) for pv in factors) + margin
-    total = Series.zero(cm.n, cap)
+    acc = _Sum(Series.zero(cm.n, cap))  # summed in place, not copied per factor
     for pv in factors:
-        total = total + log_numerator(cm, pv, cap)
-    result = peel_log_sum(cm, total)
+        acc.add(log_numerator(cm, pv, cap), 1)
+    result = peel_log_sum(cm, Series._new(cm.n, cap, acc.terms, acc.den))
     return (result.residual_zero
             and Counter(result.factors) == Counter(factors))
 

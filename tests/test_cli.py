@@ -5,10 +5,14 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from catalog import MATRICES
+from kmfactor import PVIndex, Series, cli, log_numerator, selftest, validate_gcm
+from kmfactor import series as series_module
 from kmfactor.cli import _COMMANDS, main
+from kmfactor.errors import DomainError
 
 A2 = {"matrix": [[2, -1], [-1, 2]]}
 A3 = {"matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}
@@ -30,6 +34,18 @@ def test_validate_golden(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "validate", {"gcm": A2})
     assert code == 0
     assert out == '{"ok":true,"symmetrizer":["1","1"]}\n'
+
+
+def test_validate_refuses_an_unprintable_symmetrizer(capsys, tmp_path):
+    # every entry fits the input digit limit, but the chain's symmetrizer has
+    # an entry of about 8000 digits, whose str() ended in a traceback
+    big = -10 ** 4000
+    payload = {"gcm": {"matrix": [[2, -1, 0], [big, 2, -1], [0, big, 2]]}}
+    code, out = run(capsys, tmp_path, "validate", payload)
+    doc = strict_json(out)
+    assert code == 1 and out.count("\n") == 1
+    assert doc["error"]["type"] == "DomainError"
+    assert "about 8001 digits" in doc["error"]["message"]
 
 
 def test_validate_reports_offending_indices(capsys, tmp_path):
@@ -117,6 +133,61 @@ def test_factor_golden(capsys, tmp_path):
         "certified_degree": 6, "empty_count": 0, "residual_zero": True,
         "factors": [{"I": ["1", "2"], "lam": {"1": 0, "2": 0}},
                     {"I": ["1"], "lam": {"1": 1}}]}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("factor", {}), ("factor-folded", {"classes": [[1, 3], [2]]})])
+def test_log_sum_is_summed_in_place(monkeypatch, capsys, tmp_path, command, extra):
+    """The ``log_sum_of`` assembly adds each entry once to one accumulator and
+    builds no series per entry."""
+    entries = [{"I": nodes, "lam": {str(i): k for i in nodes}}
+               for k in range(4) for nodes in ([1, 2, 3], [2])]
+    payload = {"gcm": A3, "degree": 12, "log_sum_of": entries, **extra}
+    code, expected = run(capsys, tmp_path, command, payload)  # warms the caches
+    assert code == 0
+    adds, built, totals = [], [], []
+    add, new = series_module._Sum.add, series_module.Series._new
+    monkeypatch.setattr(series_module._Sum, "add",
+                        lambda self, *args: adds.append(args) or add(self, *args))
+    monkeypatch.setattr(series_module.Series, "_new", classmethod(
+        lambda cls, *args: built.append(args) or new(*args)))
+
+    def peeled(*args):
+        totals.append(args[1])
+        raise DomainError("stop before the peel")
+
+    monkeypatch.setattr(cli, "peel_folded" if extra else "peel_log_sum", peeled)
+    code, _ = run(capsys, tmp_path, command, payload)
+    assert code == 1 and len(totals) == 1
+    assert len(adds) == len(entries) and all(step == 1 for _, step in adds)
+    assert len(built) == 2  # the zero start and the one total
+    monkeypatch.undo()
+    assert run(capsys, tmp_path, command, payload) == (0, expected)
+
+
+def test_round_trip_sums_in_place(monkeypatch):
+    cm = validate_gcm(A3["matrix"])
+    factors = [PVIndex((1, 2), (0, 1)), PVIndex((2,), (2,)), PVIndex((1, 2, 3), (1, 0, 1))]
+    assert selftest.round_trip(cm, factors)  # warms the caches
+    adds, built, totals = [], [], []
+    add, new = series_module._Sum.add, series_module.Series._new
+    monkeypatch.setattr(series_module._Sum, "add",
+                        lambda self, *args: adds.append(args) or add(self, *args))
+    monkeypatch.setattr(series_module.Series, "_new", classmethod(
+        lambda cls, *args: built.append(args) or new(*args)))
+
+    def peeled(cm, total):
+        totals.append(total)
+        raise DomainError("stop before the peel")
+
+    monkeypatch.setattr(selftest, "peel_log_sum", peeled)
+    with pytest.raises(DomainError):
+        selftest.round_trip(cm, factors)
+    assert len(adds) == len(factors) and len(built) == 2
+    monkeypatch.undo()
+    cap = totals[0].cap
+    assert totals[0] == sum((log_numerator(cm, pv, cap) for pv in factors),
+                            Series.zero(cm.n, cap))
 
 
 def test_factor_series_input(capsys, tmp_path):
@@ -360,6 +431,24 @@ def test_rationals_over_the_digit_limit_rejected(capsys, tmp_path):
         assert code == 0 and doc["factors"] == [{"I": ["1"], "lam": {"1": 0}}] * count
 
 
+def test_bad_rational_echo_is_bounded(capsys, tmp_path):
+    # a malformed 5000-character coefficient came back whole in the message
+    def message(value):
+        payload = {"gcm": {"matrix": [[2]]}, "degree": 2,
+                   "series": {"terms": [[[1], value]]}}
+        code, out = run(capsys, tmp_path, "factor", payload)
+        doc = strict_json(out)
+        assert code == 2 and doc["error"]["pointer"] == "/series/terms/0/1"
+        return doc["error"]["message"], out
+
+    for value in ("1e" + "9" * 5000, "1e" + "x" * 5000, "x" * 4000):
+        text, out = message(value)
+        assert text.startswith("not a rational: '") and f"({len(value)} characters)" in text
+        assert len(out) < 200
+    assert message("x")[0] == "not a rational: 'x'"
+    assert message("1/0")[0] == "not a rational: '1/0'"
+
+
 def test_labels_accepted_in_inputs(capsys, tmp_path):
     payload = {"gcm": {"matrix": [[2, -1], [-1, 2]], "labels": ["a", "b"]},
                "degree": 3, "I": ["a"], "lam": {"a": 1}}
@@ -393,8 +482,12 @@ any_json = st.recursive(
     max_leaves=16)
 
 
+# a chain with entries at the input digit limit: its symmetrizer has an
+# entry of about 8600 digits
+HUGE = -10 ** 4299
 small_matrices = st.one_of(
-    st.sampled_from([rows for rows in MATRICES.values() if len(rows) <= 4]),
+    st.sampled_from([rows for rows in MATRICES.values() if len(rows) <= 4]
+                    + [[[2, -1, 0], [HUGE, 2, -1], [0, HUGE, 2]]]),
     st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(-3, 0), min_size=n * n,
                                                  max_size=n * n).map(lambda v: [
         [2 if i == j else v[i * n + j] if v[j * n + i] else 0 for j in range(n)]
@@ -466,7 +559,7 @@ def run_in_process(argv, stdin_text):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(_COMMANDS)), payloads(),
-       st.one_of(st.none(), st.integers(-1, 6)), st.one_of(st.none(), st.integers(-5, 5)))
+       st.one_of(st.none(), st.integers(-1, 24)), st.one_of(st.none(), st.integers(-5, 5)))
 def test_cli_fuzz_exits_cleanly(command, payload, degree, seed):
     argv = [command, "--input", "-", "--output", "json"]
     if degree is not None:

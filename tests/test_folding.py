@@ -2,6 +2,7 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catalog import cartan, random_simply_laced, symmetric_diagram
 from kmfactor import (
@@ -103,9 +104,60 @@ def test_orbit_partition_checks_automorphism_objects(a3):
     assert orbit_partition(a3, [DiagramAutomorphism((3, 2, 1))]).classes == ((1, 3), (2,))
     for images, error in (((1, 1, 1), DomainError), ((2, 1, 3), NotCompatible),
                           ((1, 2), DomainError)):
-        for gen in (DiagramAutomorphism(images), list(images)):
-            with pytest.raises(error):
-                orbit_partition(a3, [gen])
+        with pytest.raises(error):
+            orbit_partition(a3, [list(images)])
+        with pytest.raises(error):  # (1, 1, 1) is refused when it is built
+            orbit_partition(a3, [DiagramAutomorphism(images)])
+
+
+def test_values_are_checked_when_built(a3):
+    for n, classes in ((3, ((1, 1), (5,))), (2, [[1, 1], [2]]), (2, [[1], [True]]),
+                       (2, [[1], [2.0]]), (2, [[1, 2], []]), (True, [[1]]), (-1, [])):
+        with pytest.raises(DomainError):
+            Partition(n, classes)
+        with pytest.raises(DomainError):
+            Partition.of(n, classes)
+    for images in ((1, 1, 1), (0, 1), (2, 3), (True,), (1.0,)):
+        with pytest.raises(DomainError):
+            DiagramAutomorphism(images)
+    p = Partition(2, [[2], [1]])
+    assert p == Partition.of(2, [[1], [2]]) and p.classes == ((1,), (2,))
+    assert {p: 1}[Partition(2, iter([(1,), (2,)]))] == 1
+    assert DiagramAutomorphism([2, 1]).images == (2, 1)
+    with pytest.raises(DomainError):
+        FoldContext(a3, Partition(2, [[1, 2]]))
+
+
+def _is_set_partition(n, classes):
+    """Whether the classes split 1..n into nonempty blocks, checked on sets."""
+    if type(n) is not int or n < 0:
+        return False
+    blocks = [list(c) for c in classes]
+    members = [x for b in blocks for x in b]
+    return (all(blocks) and all(type(x) is int for x in members)
+            and len(members) == len(set(members)) == n
+            and set(members) == set(range(1, n + 1)))
+
+
+node_values = st.one_of(st.integers(-1, 6), st.booleans(), st.sampled_from([1.0, "1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-1, 5), st.booleans()),
+       st.lists(st.lists(node_values, max_size=4), max_size=5))
+def test_partition_constructors_agree_with_set_partitions(n, classes):
+    outcomes = []
+    for build in (Partition, Partition.of):
+        try:
+            outcomes.append(build(n, classes))
+        except DomainError:
+            outcomes.append(DomainError)
+    assert outcomes[0] == outcomes[1]
+    if _is_set_partition(n, classes):
+        expect = tuple(sorted(tuple(sorted(c)) for c in classes))
+        assert outcomes[0].n == n and outcomes[0].classes == expect
+    else:
+        assert outcomes[0] is DomainError
 
 
 def test_orbit_partition(a3, a1aff):
@@ -387,3 +439,11 @@ def test_folded_log_numerator_cache_is_shared_and_bounded():
         ctx.fold_log_numerator(PVIndex((1, 2), (0, 0)), 4)
     assert _folded_log_numerator.cache_info().maxsize == 256
     assert _folded_log_numerator.cache_info().currsize == 256
+
+
+def test_equal_contexts_share_lift_data():
+    cm, partition = figure1(), Partition.of(5, FIGURE1_CLASSES)
+    first = FoldContext(cm, partition).lift_data([3, 4, 5])
+    assert FoldContext(cm, Partition.of(5, FIGURE1_CLASSES)).lift_data((5, 4, 3)) is first
+    assert first == naive_lift_data(cm, partition, (3, 4, 5))
+    assert not hasattr(FoldContext(cm, partition), "__dict__")  # no cache of its own

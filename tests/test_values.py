@@ -41,6 +41,9 @@ CASES = [
     (OrbitTerm, {"exponent": (1, 0), "sign": -1}, "sign", 1),
     (Partition, {"n": 3, "classes": ((1, 3), (2,))}, "classes", ((1,), (2, 3))),
     (DiagramAutomorphism, {"images": (3, 2, 1)}, "images", (1, 2, 3)),
+    (FoldContext, {"cm": validate_gcm(((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
+                   "partition": Partition(3, ((1, 3), (2,)))},
+     "partition", Partition(3, ((1,), (2,), (3,)))),
     (LiftData, {"lifts": ((1, 2), (2, 3)), "lean": ((1, 2),), "class_indices": (0, 1),
                 "lean_counts": (1, 1)}, "lean_counts", None),
     (CharacterValue, {"offset": [1, 0], "body": _series(2)}, "body", _series(3)),

@@ -3,7 +3,17 @@ import random
 import pytest
 
 from catalog import MATRICES, all_connected_subsets, cartan
-from kmfactor import PVIndex, character, log_numerator, normalized_numerator, orbit_terms, weyl
+from kmfactor import (
+    FoldContext,
+    Partition,
+    PVIndex,
+    character,
+    folding,
+    log_numerator,
+    normalized_numerator,
+    orbit_terms,
+    weyl,
+)
 from kmfactor import series as series_module
 from kmfactor.cartan import validate_gcm
 from kmfactor.errors import DomainError, NegativeIntegrability, TermLimit
@@ -134,11 +144,13 @@ def test_orbit_term_budget(a3, monkeypatch):
 def test_caches_are_bounded():
     # relabelled copies are distinct matrices, so every call adds new entries
     pv = PVIndex((1, 2), (0, 1))
+    flip = Partition.of(2, [[1, 2]])
     for k in range(300):
         cm = validate_gcm([[2, -1], [-1, 2]], [f"a{k}", f"b{k}"])
         character(cm, pv, None, 4)
         log_numerator(cm, pv, 4)
-    for cache in (weyl.normalized_numerator, log_numerator):
+        FoldContext(cm, flip).lift_data((1, 2))
+    for cache in (weyl.normalized_numerator, log_numerator, folding._lift_data):
         assert cache.cache_info().maxsize == 256
         assert cache.cache_info().currsize == 256
 
