@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DiagonalNotTwo,
@@ -83,9 +83,18 @@ def _mask(nodes: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in nodes)
 
 
+def _iterable(values, what: str) -> Iterator:
+    """An iterator over the values; a non-iterable is refused with :class:`DomainError`."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise DomainError(f"{what} of type {type(values).__name__} is not iterable") from None
+
+
 def _node_ints(values: Iterable) -> tuple[int, ...]:
-    """The values as a tuple; one that is not an int, or is a bool, is refused."""
-    out = tuple(values)
+    """The values as a tuple; values that are not iterable, or one that is
+    not an int or is a bool, are refused."""
+    out = tuple(_iterable(values, "a node list"))
     for x in out:
         if not isinstance(x, int) or isinstance(x, bool):
             raise DomainError(f"node {x!r} is not an integer")

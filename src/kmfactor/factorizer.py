@@ -15,7 +15,10 @@ through lean-lift counts.
 The loop keeps its residual in the accumulator behind series sums and
 subtracts each peeled log-numerator in place, so a step builds no series;
 the decoders test connectivity on node bitmasks, and the folded one reads
-lift data for the node tuples it builds without checking them again.
+lift data for the node tuples it builds without checking them again.  Both
+build each factor through the trusted ``PVIndex._new``: the nodes they read
+off a candidate are sorted and distinct and the pairings nonnegative ints,
+so the checks of the public constructor would only repeat that.
 """
 
 from __future__ import annotations
@@ -70,12 +73,13 @@ class _Residual(_Sum):
         contained in another stored support, break ties by lexicographically
         smallest sorted support; within that support take the
         lexicographically smallest exponent, which is componentwise minimal
-        among them.  The support of a key is read with three integer
-        operations into a mask that holds the first coordinate's bit
-        highest.  A strict superset has the larger mask, and among supports
-        none of which contains another the lexicographically smallest has
-        the largest mask, so the largest mask is the chosen support.  The
-        low fields of a key read in lexicographic order.
+        among them.  The support of a key is read with one add and one mask
+        into a mask that holds the first coordinate's bit highest.  A strict
+        superset has the larger mask, and among supports none of which
+        contains another the lexicographically smallest has the largest
+        mask, so the largest mask is the chosen support.  The low fields of
+        a key read in lexicographic order, so the minimum is unique and
+        does not depend on the order in which the keys are stored.
         """
         pack, keys = self.pack, self.terms.keys()
         masks = list(pack.supports(keys))
@@ -143,7 +147,7 @@ def peel_log_sum(cm: CartanMatrix, total: Series) -> FactorizationResult:
         nodes = support(beta)
         if not cm._connected(nodes):
             raise DisconnectedCandidateSupport(f"candidate {beta} has support {list(nodes)}")
-        return PVIndex(nodes, tuple(beta[i - 1] - 1 for i in nodes))
+        return PVIndex._new(nodes, tuple(beta[i - 1] - 1 for i in nodes))
 
     return _peel(total, decode, functools.partial(log_numerator, cm))
 
@@ -216,7 +220,7 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
                     f"coordinate {value} at class {c + 1} is not a positive "
                     f"multiple of the lean-lift count {m}")
             pairings.update(dict.fromkeys(classes[c], q - 1))
-        return PVIndex(nodes, [pairings[i] for i in nodes])
+        return PVIndex._new(nodes, tuple(pairings[i] for i in nodes))
 
     return _peel(total, decode, ctx.fold_log_numerator)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cartan import CartanMatrix, _Frozen, _mask, _node_ints, _nodes
+from .cartan import CartanMatrix, _Frozen, _iterable, _mask, _node_ints, _nodes
 from .errors import (
     DomainError,
     NoLift,
@@ -48,10 +48,11 @@ class Partition(_Frozen):
     def __init__(self, n: int, classes: Iterable[Iterable[int]]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise DomainError(f"partition size {n!r} is not a nonnegative integer")
-        parts = sorted(tuple(sorted(_node_ints(p))) for p in classes)
+        parts = sorted(tuple(sorted(_node_ints(p))) for p in _iterable(classes, "a class list"))
         if () in parts:
             raise DomainError("a class is empty")
-        if sorted(i for p in parts for i in p) != list(range(1, n + 1)):
+        nodes = sorted(i for p in parts for i in p)
+        if len(nodes) != n or nodes != list(range(1, n + 1)):  # no list longer than the input
             raise DomainError(f"classes do not partition 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "classes", tuple(parts))

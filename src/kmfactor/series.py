@@ -19,8 +19,8 @@ one common denominator:
   degree, then lexicographic on coordinates), the key's low fields read in
   lexicographic order, and a sum of keys exceeds the cap exactly when it
   reaches (cap+1) << (b*nvars).  Adding 2**(b-1) - 1 to every field sets a
-  field's clear top bit exactly when the coordinate is nonzero, so one
-  mask, one add and one mask read the support of a key.
+  field's clear top bit exactly when the coordinate is nonzero and carries
+  out of no field, so one add and one mask read the support of a key.
 * Integer numerators.  Numerators are ints over the denominator, normalized
   so that zero numerators are never stored and gcd(den, every numerator) is
   1.  That form is unique, so equality is exact term-map equality.
@@ -33,7 +33,9 @@ series is built by one private constructor from keys and numerators; the
 public one checks and packs its exponents and then ends in it, and
 :mod:`kmfactor.weyl` enumerates orbits on keys, so a numerator decodes and
 checks no exponent.  Sums, differences and the peel residual of
-:mod:`kmfactor.factorizer` share one mutable accumulator, ``_Sum``; negation
+:mod:`kmfactor.factorizer` share one mutable accumulator, ``_Sum``; a sum
+starts as a copy of the operand with more terms and adds the other one term
+by term, so its Python-level work scales with the smaller operand; negation
 and scaling work on the stored numerators; ``fold`` re-packs each key
 through a per-class digit map.
 
@@ -136,8 +138,7 @@ class _Packing:
     def supports(self, keys: Iterable[int]) -> Iterator[int]:
         """The nonzero pattern of each key: a guard bit per nonzero coordinate,
         with the first coordinate's bit highest."""
-        return map(and_, map(add, map(and_, keys, repeat(self.lex)), repeat(self.low)),
-                   repeat(self.guards))
+        return map(and_, map(add, keys, repeat(self.low)), repeat(self.guards))
 
 
 _packing = lru_cache(maxsize=256)(_Packing)
@@ -158,8 +159,10 @@ class _Sum:
 
     __slots__ = ("terms", "den", "pack")
 
-    def __init__(self, start: "Series"):
-        self.terms = dict(start._terms)
+    def __init__(self, start: "Series", step: int = 1):
+        """A sum that starts at ``step`` times ``start``."""
+        terms = start._terms
+        self.terms = dict(terms) if step == 1 else {key: n * step for key, n in terms.items()}
         self.den = start._den
         self.pack = start._pack
 
@@ -300,10 +303,16 @@ class Series:
             raise CapMismatch(f"caps differ: {self.cap} vs {other.cap}")
 
     def _combine(self, other: "Series", sign: int) -> "Series":
-        """``self + sign * other`` over the lcm of the two denominators."""
+        """``self + sign * other`` over the lcm of the two denominators.  The
+        sum starts as a copy of the operand with more terms, and only the
+        other one is added term by term."""
         self._check_compatible(other)
-        total = _Sum(self)
-        total.add(other, sign)
+        if len(self._terms) >= len(other._terms):
+            total = _Sum(self)
+            total.add(other, sign)
+        else:
+            total = _Sum(other, sign)
+            total.add(self, 1)
         return Series._new(self.nvars, self.cap, total.terms, total.den)
 
     def __add__(self, other: "Series") -> "Series":

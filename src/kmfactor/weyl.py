@@ -51,6 +51,16 @@ class PVIndex(_Frozen):
         object.__setattr__(self, "pairings", pairings)
 
     @classmethod
+    def _new(cls, nodes: tuple[int, ...], pairings: tuple[int, ...]) -> "PVIndex":
+        """An index from fields known to be valid, taken as they are: ``nodes``
+        a sorted tuple of distinct nodes, ``pairings`` a tuple of as many
+        nonnegative ints.  Nothing is checked."""
+        pv = object.__new__(cls)
+        object.__setattr__(pv, "nodes", nodes)
+        object.__setattr__(pv, "pairings", pairings)
+        return pv
+
+    @classmethod
     def from_map(cls, nodes: Iterable[int], lam: Mapping[int, int]) -> "PVIndex":
         I = tuple(sorted(set(nodes)))
         if set(lam) != set(I):

@@ -503,3 +503,43 @@ def test_warm_folded_peel_checks_no_nodes():
     assert calls == []
     with pytest.raises(DomainError):
         ctx.lift_data((True, 2, 3, 4))
+
+
+def assert_valid_indices(factors):
+    """Each factor equals, and hashes like, the checked index of its fields."""
+    for f in factors:
+        assert type(f.nodes) is tuple and type(f.pairings) is tuple
+        rebuilt = PVIndex(f.nodes, f.pairings)
+        assert rebuilt == f and hash(rebuilt) == hash(f)
+
+
+def test_warm_peels_build_indices_unchecked(a3):
+    # both decoders build valid fields themselves, so no factor is checked
+    plain = [PVIndex((1, 2, 3), (0, 1, 0)), PVIndex((2, 3), (0, 0)), PVIndex((1,), (2,))]
+    total = log_sum(a3, plain, 8)
+    cm = cartan("A3aff")
+    ctx = FoldContext(cm, orbit_partition(cm, [[3, 2, 1, 4]]))
+    folded = [PVIndex((1, 2, 3), (0, 0, 0)), PVIndex((2,), (1,))]
+    folded_total = ctx.fold_log_numerator(folded[0], 8) + ctx.fold_log_numerator(folded[1], 8)
+    peel_log_sum(a3, total)
+    peel_folded(ctx, folded_total)
+    init = PVIndex.__init__
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    with mock.patch.object(PVIndex, "__init__", counted):
+        got_plain = peel_log_sum(a3, total).factors
+        got_folded = peel_folded(ctx, folded_total).factors
+    assert calls == []
+    assert Counter(got_plain) == Counter(plain) and Counter(got_folded) == Counter(folded)
+    assert_valid_indices(got_plain + got_folded)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plain_sums(), folded_sums())
+def test_decoded_factors_are_valid_indices(plain, folded):
+    assert_valid_indices(peel_log_sum(*plain).factors)
+    assert_valid_indices(peel_folded(*folded).factors)

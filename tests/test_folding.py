@@ -112,12 +112,13 @@ def test_orbit_partition_checks_automorphism_objects(a3):
 
 def test_values_are_checked_when_built(a3):
     for n, classes in ((3, ((1, 1), (5,))), (2, [[1, 1], [2]]), (2, [[1], [True]]),
-                       (2, [[1], [2.0]]), (2, [[1, 2], []]), (True, [[1]]), (-1, [])):
+                       (2, [[1], [2.0]]), (2, [[1, 2], []]), (True, [[1]]), (-1, []),
+                       (2, [1, 2]), (2, 5), (2, None), (10**12, [[1]])):
         with pytest.raises(DomainError):
             Partition(n, classes)
         with pytest.raises(DomainError):
             Partition.of(n, classes)
-    for images in ((1, 1, 1), (0, 1), (2, 3), (True,), (1.0,)):
+    for images in ((1, 1, 1), (0, 1), (2, 3), (True,), (1.0,), 3, None):
         with pytest.raises(DomainError):
             DiagramAutomorphism(images)
     p = Partition(2, [[2], [1]])

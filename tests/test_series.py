@@ -1,7 +1,9 @@
 import ast
 import copy
+import functools
 import itertools
 import math
+import operator
 import os
 import pickle
 import subprocess
@@ -214,6 +216,53 @@ def test_equality_across_denominators(a, b, q):
     assert a.scale(q).scale(1 / q) == a
     assert series(a.nvars, a.cap, a.items()) == a
     assert stored_form_is_normalized((a + b) - b)
+
+
+def skewed_series(max_size, nvars=3, cap=6):
+    """Series of up to ``max_size`` terms over denominators up to 60."""
+    exps = st.tuples(*(st.integers(min_value=0, max_value=cap) for _ in range(nvars)))
+    values = st.fractions(min_value=-6, max_value=6, max_denominator=60)
+    return st.dictionaries(exps, values, max_size=max_size).map(
+        lambda terms: Series(nvars, cap, terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(skewed_series(40), skewed_series(3))
+def test_size_skewed_sums_match_naive(big, small):
+    # a sum starts from the operand with more terms, on either side
+    for got, want in ((big + small, naive_add(big, small)), (small + big, naive_add(small, big)),
+                      (big - small, naive_add(big, small, -1)),
+                      (small - big, naive_add(small, big, -1))):
+        assert got == want
+        assert got.items() == want.items()
+        assert stored_form_is_normalized(got)
+
+
+def test_sum_adds_only_the_smaller_operand():
+    big = series(2, 6, A2_PRODUCT)
+    small = series(2, 6, {(1, 0): Fraction(1, 3), (3, 3): Fraction(-2, 5)})
+    add, new = series_module._Sum.add, Series._new
+    added, built = [], []
+
+    def counted_add(total, t, step):
+        added.append(t)
+        add(total, t, step)
+
+    def counted_new(*args):
+        built.append(args)
+        return new(*args)
+
+    for op, want in ((lambda: big + small, naive_add(big, small)),
+                     (lambda: small + big, naive_add(small, big)),
+                     (lambda: small - big, naive_add(small, big, -1))):
+        added.clear()
+        built.clear()
+        with mock.patch.object(series_module._Sum, "add", counted_add), \
+                mock.patch.object(Series, "_new", counted_new):
+            got = op()
+        assert got == want
+        assert len(added) == 1 and added[0] is small
+        assert len(built) == 1
 
 
 # -- multiplication --------------------------------------------------------------
@@ -504,6 +553,41 @@ def test_tracer_installs():
                            os.path.join(root, "perfbench")],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+@st.composite
+def keys_at_the_cap(draw):
+    """A packing of 1 to 6 variables and exponents whose coordinates reach
+    the cap; at a cap of 2**k - 1 such a coordinate sets every bit of its
+    field below the guard bit."""
+    nvars = draw(st.integers(1, 6))
+    cap = draw(st.sampled_from((0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 63)))
+
+    def under_cap(coords):
+        out, room = [], cap
+        for x in coords:
+            out.append(min(x, room))
+            room -= out[-1]
+        return tuple(out)
+
+    drawn = st.lists(st.integers(0, cap), min_size=nvars, max_size=nvars).map(under_cap)
+    corners = [tuple(cap if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+    exps = draw(st.lists(drawn, max_size=8)) + corners
+    return series_module._packing(nvars, cap), exps
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys_at_the_cap())
+def test_supports_read_the_support_of_keys(case):
+    # one add and one mask give a guard bit per nonzero coordinate
+    pack, exps = case
+    bits = pack.mask.bit_length()
+    expected = [sum(1 << (pack.shifts[i - 1] + bits - 1) for i in support(e)) for e in exps]
+    keys = [pack.key(e) for e in exps]
+    assert list(pack.supports(keys)) == expected
+    # divide reads the variables a series uses off the or of its keys
+    assert next(pack.supports([functools.reduce(operator.or_, keys)])) == \
+        functools.reduce(operator.or_, expected)
 
 
 # -- fold --------------------------------------------------------------------------------
