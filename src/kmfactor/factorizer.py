@@ -13,18 +13,23 @@ The folded variant runs the same loop in class variables, decoding markers
 through lean-lift counts.
 
 The loop keeps its residual in the accumulator behind series sums and
-subtracts each peeled log-numerator in place, so a step builds no series;
-the decoders test connectivity on node bitmasks, and the folded one reads
-lift data for the node tuples it builds without checking them again.  Both
-build each factor through the trusted ``PVIndex._new``: the nodes they read
-off a candidate are sorted and distinct and the pairings nonnegative ints,
-so the checks of the public constructor would only repeat that.
+subtracts each peeled log-numerator in place, so a step builds no series.
+For a fixed matrix, partition and cap, a candidate key determines its
+factor and that factor's log-numerator, so each step is one call of a
+bounded cache keyed on the packed key: a warm step is one cache hit, and
+a refused candidate is not cached, so it is checked again every time.  On
+a miss the step decodes the key, tests connectivity on node bitmasks, and
+the folded one reads lift data for the node tuples it builds without
+checking them again.  Both build each factor through the trusted
+``PVIndex._new``: the nodes they read off a candidate are sorted and
+distinct and the pairings nonnegative ints, so the checks of the public
+constructor would only repeat that.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import compress
 from typing import Callable, Sequence
 
@@ -42,10 +47,10 @@ from .errors import (
     TooManyFactors,
     _number_text,
 )
-from .folding import FoldContext, _lift_data
+from .folding import FoldContext, Partition, _folded_log_numerator, _lift_data
 from .numerators import log_numerator
-from .series import _DENSE_TERM_LIMIT, Series, _coefficient, _Sum, support
-from .weyl import PVIndex
+from .series import _DENSE_TERM_LIMIT, Series, _coefficient, _packing, _Sum, support
+from .weyl import _CACHE_SIZE, PVIndex
 
 
 class FactorizationResult(_Frozen):
@@ -86,10 +91,10 @@ class _Residual(_Sum):
         return min(compress(keys, map(max(masks).__eq__, masks)), key=pack.lex.__and__)
 
 
-def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResult:
-    """The one peel loop: ``decode`` reads a factor off each positive
-    candidate, and ``term(factor, cap)`` times the factor's multiplicity is
-    subtracted in one step.
+def _peel(total: Series, step: Callable) -> FactorizationResult:
+    """The one peel loop: ``step(key)`` gives the factor read off a positive
+    candidate key and its log-numerator, and that log-numerator times the
+    factor's multiplicity is subtracted in one step.
 
     The multiplicity is the candidate's coefficient over the factor's
     marker coefficient, which for a sum of log-numerators is the number of
@@ -98,27 +103,27 @@ def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResul
     is no such sum.  Every step removes one candidate for good, so the loop
     ends after at most as many steps as there are exponents under the cap;
     a result of more than ``_DENSE_TERM_LIMIT`` factors is refused.  The
-    loop runs on one :class:`_Residual`, so a step builds no series.
+    loop runs on one :class:`_Residual`, so a step builds no series, and a
+    candidate is decoded only to name it in a refusal.
     """
-    cap = total.cap
     residual = _Residual(total)
+    exponent = residual.pack.exponent
     factors: list[PVIndex] = []
     peeled: set[int] = set()
     while residual.terms:
         key = residual.candidate()
-        candidate = residual.pack.exponent(key)
         coeff = residual.terms[key]
         if coeff <= 0:
             raise NegativeLeadingCoefficient(
                 f"coefficient {_number_text(Fraction(coeff, residual.den))} "
-                f"at candidate {candidate}")
+                f"at candidate {exponent(key)}")
         if key in peeled:
-            raise NonzeroResidual(f"candidate {candidate} came back after it was peeled")
-        pv = decode(candidate)
-        t = term(pv, cap)
+            raise NonzeroResidual(f"candidate {exponent(key)} came back after it was peeled")
+        pv, t = step(key)
         marker = t._terms.get(key, 0)
         m, r = divmod(coeff * t._den, residual.den * marker) if marker > 0 else (0, 1)
         if r or m < 1:
+            candidate = exponent(key)
             raise NonzeroResidual(
                 f"coefficient {_number_text(Fraction(coeff, residual.den))} "
                 f"at candidate {candidate} "
@@ -129,27 +134,70 @@ def _peel(total: Series, decode: Callable, term: Callable) -> FactorizationResul
         residual.add(t, -m)
         factors += [pv] * m
         peeled.add(key)
-    return FactorizationResult(tuple(factors), 0, True, cap)
+    return FactorizationResult(tuple(factors), 0, True, total.cap)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _plain_step(cm: CartanMatrix, cap: int, key: int) -> tuple[PVIndex, Series]:
+    """The factor of a plain candidate key and its log-numerator.
+
+    The candidate's support must be connected; it is the factor's node set,
+    and the candidate's coordinates there minus one are the pairings.
+    """
+    beta = _packing(cm.n, cap).exponent(key)
+    nodes = support(beta)
+    if not cm._connected(nodes):
+        raise DisconnectedCandidateSupport(f"candidate {beta} has support {list(nodes)}")
+    pv = PVIndex._new(nodes, tuple(beta[i - 1] - 1 for i in nodes))
+    return pv, log_numerator(cm, pv, cap)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _folded_step(cm: CartanMatrix, partition: Partition, cap: int,
+                 key: int) -> tuple[PVIndex, Series]:
+    """The factor of a folded candidate key and its folded log-numerator.
+
+    The candidate's class support gives the class union K, which must be
+    connected and equiconnected; each coordinate must be a multiple
+    q * (lean-lift count) with q >= 1, and q - 1 is the symmetric pairing
+    on that class.
+    """
+    gamma = _packing(partition.num_classes, cap).exponent(key)
+    classes = partition.classes
+    nodes = tuple(sorted(i for c in support(gamma) for i in classes[c - 1]))
+    if not cm._connected(nodes):
+        raise NotEquiconnectedCandidate(
+            f"class union {list(nodes)} of candidate {gamma} is disconnected")
+    try:
+        data = _lift_data(cm, partition, nodes)
+    except NoLift as exc:
+        raise NotEquiconnectedCandidate(str(exc)) from exc
+    if data.lean_counts is None:
+        raise NotEquiconnectedCandidate(
+            f"class union {list(nodes)} of candidate {gamma} is not equiconnected")
+    pairings: dict[int, int] = {}
+    for c, m in zip(data.class_indices, data.lean_counts):
+        value = gamma[c]
+        q, r = divmod(value, m)
+        if r or q < 1:
+            raise DivisibilityFailure(
+                f"coordinate {value} at class {c + 1} is not a positive "
+                f"multiple of the lean-lift count {m}")
+        pairings.update(dict.fromkeys(classes[c], q - 1))
+    pv = PVIndex._new(nodes, tuple(pairings[i] for i in nodes))
+    return pv, _folded_log_numerator(cm, partition, pv, cap)
 
 
 def peel_log_sum(cm: CartanMatrix, total: Series) -> FactorizationResult:
     """Recover the factor multiset from a sum of log-numerators.
 
-    Runs :func:`_peel`; a candidate must have connected support, which is
-    the factor's node set, and its coordinates minus one are the pairings.
+    Runs :func:`_peel` with the steps of :func:`_plain_step`.
     """
     if total.nvars != cm.n:
         raise DomainError(f"series has {total.nvars} variables, matrix has {cm.n} nodes")
     if total.constant_term:
         raise DomainError("a sum of log-numerators has zero constant term")
-
-    def decode(beta: tuple[int, ...]) -> PVIndex:
-        nodes = support(beta)
-        if not cm._connected(nodes):
-            raise DisconnectedCandidateSupport(f"candidate {beta} has support {list(nodes)}")
-        return PVIndex._new(nodes, tuple(beta[i - 1] - 1 for i in nodes))
-
-    return _peel(total, decode, functools.partial(log_numerator, cm))
+    return _peel(total, partial(_plain_step, cm, total.cap))
 
 
 def recover_from_character_product(cm: CartanMatrix, product: Series,
@@ -184,10 +232,8 @@ def recover_from_character_product(cm: CartanMatrix, product: Series,
 def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
     """Recover symmetric factors from a folded sum of log-numerators.
 
-    Runs :func:`_peel` in class variables.  A candidate's class support
-    determines the class union K, which must be connected and
-    equiconnected; each coordinate must be a multiple q * (lean-lift count)
-    with q >= 1, and q - 1 is the symmetric pairing on that class.
+    Runs :func:`_peel` in class variables, with the steps of
+    :func:`_folded_step`.
     """
     if total.nvars != ctx.partition.num_classes:
         raise DomainError(
@@ -196,33 +242,7 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
     if total.constant_term:
         raise DomainError("a folded sum of log-numerators has zero constant term")
 
-    cm, partition = ctx.cm, ctx.partition
-    classes = partition.classes
-
-    def decode(gamma: tuple[int, ...]) -> PVIndex:
-        nodes = tuple(sorted(i for c in support(gamma) for i in classes[c - 1]))
-        if not cm._connected(nodes):
-            raise NotEquiconnectedCandidate(
-                f"class union {list(nodes)} of candidate {gamma} is disconnected")
-        try:
-            data = _lift_data(cm, partition, nodes)
-        except NoLift as exc:
-            raise NotEquiconnectedCandidate(str(exc)) from exc
-        if data.lean_counts is None:
-            raise NotEquiconnectedCandidate(
-                f"class union {list(nodes)} of candidate {gamma} is not equiconnected")
-        pairings: dict[int, int] = {}
-        for c, m in zip(data.class_indices, data.lean_counts):
-            value = gamma[c]
-            q, r = divmod(value, m)
-            if r or q < 1:
-                raise DivisibilityFailure(
-                    f"coordinate {value} at class {c + 1} is not a positive "
-                    f"multiple of the lean-lift count {m}")
-            pairings.update(dict.fromkeys(classes[c], q - 1))
-        return PVIndex._new(nodes, tuple(pairings[i] for i in nodes))
-
-    return _peel(total, decode, ctx.fold_log_numerator)
+    return _peel(total, partial(_folded_step, ctx.cm, ctx.partition, total.cap))
 
 
 def verify_equivalence(left: Sequence[PVIndex], right: Sequence[PVIndex],

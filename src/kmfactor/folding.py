@@ -41,9 +41,10 @@ _LIFT_NODE_LIMIT = 16
 
 class Partition(_Frozen):
     """Nonempty disjoint classes covering 1..n, each sorted, ordered by
-    smallest member; any other input is refused with :class:`DomainError`."""
+    smallest member; any other input is refused with :class:`DomainError`.
+    The hash is computed once, as every cache keyed on a partition needs it."""
 
-    __slots__ = ("n", "classes")
+    __slots__ = ("n", "classes", "_hash")
 
     def __init__(self, n: int, classes: Iterable[Iterable[int]]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -54,8 +55,13 @@ class Partition(_Frozen):
         nodes = sorted(i for p in parts for i in p)
         if len(nodes) != n or nodes != list(range(1, n + 1)):  # no list longer than the input
             raise DomainError(f"classes do not partition 1..{n}")
+        classes = tuple(parts)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "classes", tuple(parts))
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "_hash", hash((n, classes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":

@@ -29,10 +29,11 @@ class PVIndex(_Frozen):
     ``nodes`` is the sorted integrable node set and ``pairings[k]`` the
     coroot pairing of the highest weight at ``nodes[k]``.  Only this data
     enters any computation, so two indices compare equal exactly when they
-    are interchangeable everywhere.
+    are interchangeable everywhere.  The hash is computed once, since every
+    cache lookup of a factor hashes its index.
     """
 
-    __slots__ = ("nodes", "pairings")
+    __slots__ = ("nodes", "pairings", "_hash")
 
     def __init__(self, nodes: Iterable[int], pairings: Iterable[int]):
         nodes = tuple(nodes)
@@ -49,6 +50,7 @@ class PVIndex(_Frozen):
                 raise NegativeIntegrability(f"pairing at node {i} is {p} < 0")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "pairings", pairings)
+        object.__setattr__(self, "_hash", hash((nodes, pairings)))
 
     @classmethod
     def _new(cls, nodes: tuple[int, ...], pairings: tuple[int, ...]) -> "PVIndex":
@@ -58,7 +60,11 @@ class PVIndex(_Frozen):
         pv = object.__new__(cls)
         object.__setattr__(pv, "nodes", nodes)
         object.__setattr__(pv, "pairings", pairings)
+        object.__setattr__(pv, "_hash", hash((nodes, pairings)))
         return pv
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_map(cls, nodes: Iterable[int], lam: Mapping[int, int]) -> "PVIndex":

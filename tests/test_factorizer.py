@@ -1,4 +1,5 @@
 from collections import Counter
+from contextlib import ExitStack
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from catalog import all_connected_subsets, cartan
 from kmfactor import (
     FoldContext,
+    factorizer,
     PVIndex,
     character,
     check_automorphism,
@@ -125,12 +127,25 @@ def test_peel_refuses_partial_multiplicity(a1):
         peel_log_sum(a1, Series.monomial(1, 2, (1,), Fraction(1, 2)))
 
 
+# forged terms, each of which puts the other candidate back
+RETURNING_TERMS = {(1,): Series(1, 2, {(1,): 1, (2,): -1}),
+                   (2,): Series(1, 2, {(2,): 1, (1,): -1})}
+
+
+def forged_step(total, terms):
+    """A peel step that decodes a key of the sum and looks its term up; the
+    decoded exponent stands in for the factor."""
+    def step(key):
+        beta = total._pack.exponent(key)
+        return beta, terms[beta]
+    return step
+
+
 def test_peel_refuses_a_candidate_that_comes_back():
     # a forged term that puts the first candidate back keeps the loop finite
-    terms = {(1,): Series(1, 2, {(1,): 1, (2,): -1}),
-             (2,): Series(1, 2, {(2,): 1, (1,): -1})}
+    total = Series.monomial(1, 2, (1,))
     with pytest.raises(NonzeroResidual, match="came back"):
-        _peel(Series.monomial(1, 2, (1,)), lambda beta: beta, lambda beta, cap: terms[beta])
+        _peel(total, forged_step(total, RETURNING_TERMS))
 
 
 def test_peel_factor_budget(a1):
@@ -364,29 +379,6 @@ def test_candidate_matches_naive_on_wide_keys(nvars, cap, data):
 
 # -- the peel loop against the series-based oracle loop -------------------------------
 
-def outcome(peel, *args):
-    """Factors in peel order, or the refusal's type and message."""
-    try:
-        result = peel(*args)
-    except DomainError as exc:
-        return type(exc), str(exc)
-    return result.factors if isinstance(result, FactorizationResult) else result
-
-
-def spoiled(draw, total):
-    """The sum as drawn, negated, at a partial multiplicity, or with one
-    unit term added at an arbitrary exponent."""
-    how = draw(st.sampled_from(("valid", "negated", "partial", "perturbed")))
-    if how == "negated":
-        return -total
-    if how == "partial":
-        return total.scale(draw(st.sampled_from((Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)))))
-    if how == "perturbed":
-        exp = draw(st.tuples(*(st.integers(0, 2) for _ in range(total.nvars))).filter(any))
-        return total + Series.monomial(total.nvars, total.cap, exp, draw(st.sampled_from((-1, 1))))
-    return total
-
-
 @st.composite
 def folded_sums(draw):
     """A fold context from one automorphism of a catalog matrix and a folded
@@ -455,12 +447,10 @@ def test_folded_peel_matches_naive_loop(case, data):
 
 
 def test_returning_candidate_matches_naive_loop():
-    terms = {(1,): Series(1, 2, {(1,): 1, (2,): -1}),
-             (2,): Series(1, 2, {(2,): 1, (1,): -1})}
-    args = (Series.monomial(1, 2, (1,)), lambda beta: beta, lambda beta, cap: terms[beta])
-    expect = outcome(naive_peel, *args)
+    total = Series.monomial(1, 2, (1,))
+    expect = outcome(naive_peel, total, lambda beta: beta, lambda beta, cap: RETURNING_TERMS[beta])
     assert expect[0] is NonzeroResidual and "came back" in expect[1]
-    assert outcome(_peel, *args) == expect
+    assert outcome(_peel, total, forged_step(total, RETURNING_TERMS)) == expect
 
 
 def test_peel_builds_no_series(a3):
@@ -536,6 +526,50 @@ def test_warm_peels_build_indices_unchecked(a3):
     assert calls == []
     assert Counter(got_plain) == Counter(plain) and Counter(got_folded) == Counter(folded)
     assert_valid_indices(got_plain + got_folded)
+
+
+def test_warm_peel_steps_are_one_lookup(a3):
+    # a second peel of the same sum finds every factor and term in the step caches
+    plain = [PVIndex((1, 2, 3), (0, 1, 0)), PVIndex((2, 3), (0, 0)), PVIndex((1,), (2,))]
+    total = log_sum(a3, plain, 8)
+    cm = cartan("A3aff")
+    ctx = FoldContext(cm, orbit_partition(cm, [[3, 2, 1, 4]]))
+    folded = [PVIndex((1, 2, 3), (0, 0, 0)), PVIndex((2,), (1,))]
+    folded_total = ctx.fold_log_numerator(folded[0], 8) + ctx.fold_log_numerator(folded[1], 8)
+    peel_log_sum(a3, total)
+    peel_folded(ctx, folded_total)
+    patches = [mock.patch.object(factorizer, name, wraps=getattr(factorizer, name))
+               for name in ("log_numerator", "_folded_log_numerator", "_lift_data")]
+    patches.append(mock.patch.object(CartanMatrix, "_connected", autospec=True,
+                                     side_effect=CartanMatrix._connected))
+    with ExitStack() as stack:
+        spies = [stack.enter_context(p) for p in patches]
+        got_plain = peel_log_sum(a3, total).factors
+        got_folded = peel_folded(ctx, folded_total).factors
+        assert [spy.call_count for spy in spies] == [0, 0, 0, 0]
+        factorizer._plain_step.cache_clear()
+        factorizer._folded_step.cache_clear()
+        assert peel_log_sum(a3, total).factors == got_plain
+        assert peel_folded(ctx, folded_total).factors == got_folded
+        assert all(spy.call_count for spy in spies)  # the spies see a cold step
+    assert Counter(got_plain) == Counter(plain) and Counter(got_folded) == Counter(folded)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plain_sums(), folded_sums(), st.data())
+def test_cold_and_warm_steps_match_naive_loop(plain, folded, data):
+    # refusals are not cached, so a warm peel refuses as a cold one does
+    (cm, total), (ctx, folded_total) = plain, folded
+    cases = [(peel_log_sum, cm, spoiled(data.draw, total),
+              naive_plain_decoder(cm), partial(log_numerator, cm)),
+             (peel_folded, ctx, spoiled(data.draw, folded_total),
+              naive_folded_decoder(ctx), ctx.fold_log_numerator)]
+    for peel, first, total, decode, term in cases:
+        expect = outcome(naive_peel, total, decode, term)
+        factorizer._plain_step.cache_clear()
+        factorizer._folded_step.cache_clear()
+        assert outcome(peel, first, total) == expect
+        assert outcome(peel, first, total) == expect
 
 
 @settings(max_examples=40, deadline=None)

@@ -137,3 +137,22 @@ def test_cartan_matrix_is_hashed_once(monkeypatch):
         log_numerator(cm, pv, 8)
         ctx.fold_log_numerator(pv, 8)
     assert calls == []
+
+
+def test_indices_and_partitions_are_hashed_once(monkeypatch):
+    """Equal values hash alike however they are built, from a hash taken
+    once, outside the fields and the repr."""
+    pv = PVIndex((1, 3), (2, 0))
+    p = Partition(3, [[3, 1], [2]])
+    same = {pv: [PVIndex._new((1, 3), (2, 0)), PVIndex.from_map([3, 1], {1: 2, 3: 0})],
+            p: [Partition.of(3, [(2,), [1, 3]])]}
+    for value, built in same.items():
+        built += [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+        for other in built:
+            assert other == value and hash(other) == hash(value) == hash(value._key(value))
+        assert "_hash" in type(value).__slots__ and "_hash" not in type(value)._fields
+    assert repr(pv) == "PVIndex(nodes=(1, 3), pairings=(2, 0))"
+    assert repr(p) == "Partition(n=3, classes=((1, 3), (2,)))"
+    for cls in (PVIndex, Partition):
+        monkeypatch.setattr(cls, "_key", None)  # the fields are not read again
+    assert hash(pv) == hash(((1, 3), (2, 0))) and hash(p) == hash((3, ((1, 3), (2,))))

@@ -8,10 +8,13 @@ from kmfactor import (
     Partition,
     PVIndex,
     character,
+    factorizer,
     folding,
     log_numerator,
     normalized_numerator,
     orbit_terms,
+    peel_folded,
+    peel_log_sum,
     weyl,
 )
 from kmfactor import series as series_module
@@ -144,13 +147,18 @@ def test_orbit_term_budget(a3, monkeypatch):
 def test_caches_are_bounded():
     # relabelled copies are distinct matrices, so every call adds new entries
     pv = PVIndex((1, 2), (0, 1))
+    symmetric = PVIndex((1, 2), (0, 0))
     flip = Partition.of(2, [[1, 2]])
     for k in range(300):
         cm = validate_gcm([[2, -1], [-1, 2]], [f"a{k}", f"b{k}"])
+        ctx = FoldContext(cm, flip)
         character(cm, pv, None, 4)
-        log_numerator(cm, pv, 4)
-        FoldContext(cm, flip).lift_data((1, 2))
-    for cache in (weyl.normalized_numerator, log_numerator, folding._lift_data):
+        peel_log_sum(cm, log_numerator(cm, pv, 4))
+        ctx.lift_data((1, 2))
+        peel_folded(ctx, ctx.fold_log_numerator(symmetric, 4))
+    for cache in (weyl.normalized_numerator, log_numerator, folding._lift_data,
+                  folding._folded_log_numerator, factorizer._plain_step,
+                  factorizer._folded_step):
         assert cache.cache_info().maxsize == 256
         assert cache.cache_info().currsize == 256
 
