@@ -503,16 +503,30 @@ def assert_valid_indices(factors):
         assert rebuilt == f and hash(rebuilt) == hash(f)
 
 
-def test_warm_peels_build_indices_unchecked(a3):
-    # both decoders build valid fields themselves, so no factor is checked
+def warm_peels(a3):
+    """Peel a plain sum on A3 and a folded one on A3aff once, and return a
+    function that peels both again, with the factors of each sum."""
     plain = [PVIndex((1, 2, 3), (0, 1, 0)), PVIndex((2, 3), (0, 0)), PVIndex((1,), (2,))]
     total = log_sum(a3, plain, 8)
     cm = cartan("A3aff")
     ctx = FoldContext(cm, orbit_partition(cm, [[3, 2, 1, 4]]))
     folded = [PVIndex((1, 2, 3), (0, 0, 0)), PVIndex((2,), (1,))]
     folded_total = ctx.fold_log_numerator(folded[0], 8) + ctx.fold_log_numerator(folded[1], 8)
-    peel_log_sum(a3, total)
-    peel_folded(ctx, folded_total)
+
+    def peel_both():
+        return peel_log_sum(a3, total).factors, peel_folded(ctx, folded_total).factors
+    peel_both()
+    return peel_both, plain, folded
+
+
+def clear_step_caches():
+    factorizer._plain_step.cache_clear()
+    factorizer._folded_step.cache_clear()
+
+
+def test_warm_peels_build_indices_unchecked(a3):
+    # both decoders build valid fields themselves, so no factor is checked
+    peel_both, plain, folded = warm_peels(a3)
     init = PVIndex.__init__
     calls = []
 
@@ -521,8 +535,7 @@ def test_warm_peels_build_indices_unchecked(a3):
         init(self, *args)
 
     with mock.patch.object(PVIndex, "__init__", counted):
-        got_plain = peel_log_sum(a3, total).factors
-        got_folded = peel_folded(ctx, folded_total).factors
+        got_plain, got_folded = peel_both()
     assert calls == []
     assert Counter(got_plain) == Counter(plain) and Counter(got_folded) == Counter(folded)
     assert_valid_indices(got_plain + got_folded)
@@ -530,27 +543,17 @@ def test_warm_peels_build_indices_unchecked(a3):
 
 def test_warm_peel_steps_are_one_lookup(a3):
     # a second peel of the same sum finds every factor and term in the step caches
-    plain = [PVIndex((1, 2, 3), (0, 1, 0)), PVIndex((2, 3), (0, 0)), PVIndex((1,), (2,))]
-    total = log_sum(a3, plain, 8)
-    cm = cartan("A3aff")
-    ctx = FoldContext(cm, orbit_partition(cm, [[3, 2, 1, 4]]))
-    folded = [PVIndex((1, 2, 3), (0, 0, 0)), PVIndex((2,), (1,))]
-    folded_total = ctx.fold_log_numerator(folded[0], 8) + ctx.fold_log_numerator(folded[1], 8)
-    peel_log_sum(a3, total)
-    peel_folded(ctx, folded_total)
+    peel_both, plain, folded = warm_peels(a3)
     patches = [mock.patch.object(factorizer, name, wraps=getattr(factorizer, name))
                for name in ("log_numerator", "_folded_log_numerator", "_lift_data")]
     patches.append(mock.patch.object(CartanMatrix, "_connected", autospec=True,
                                      side_effect=CartanMatrix._connected))
     with ExitStack() as stack:
         spies = [stack.enter_context(p) for p in patches]
-        got_plain = peel_log_sum(a3, total).factors
-        got_folded = peel_folded(ctx, folded_total).factors
+        got_plain, got_folded = peel_both()
         assert [spy.call_count for spy in spies] == [0, 0, 0, 0]
-        factorizer._plain_step.cache_clear()
-        factorizer._folded_step.cache_clear()
-        assert peel_log_sum(a3, total).factors == got_plain
-        assert peel_folded(ctx, folded_total).factors == got_folded
+        clear_step_caches()
+        assert peel_both() == (got_plain, got_folded)
         assert all(spy.call_count for spy in spies)  # the spies see a cold step
     assert Counter(got_plain) == Counter(plain) and Counter(got_folded) == Counter(folded)
 
@@ -566,8 +569,7 @@ def test_cold_and_warm_steps_match_naive_loop(plain, folded, data):
               naive_folded_decoder(ctx), ctx.fold_log_numerator)]
     for peel, first, total, decode, term in cases:
         expect = outcome(naive_peel, total, decode, term)
-        factorizer._plain_step.cache_clear()
-        factorizer._folded_step.cache_clear()
+        clear_step_caches()
         assert outcome(peel, first, total) == expect
         assert outcome(peel, first, total) == expect
 
