@@ -22,7 +22,8 @@ from .errors import (
 
 
 class _Frozen:
-    """Base of the package's immutable value types.
+    """Base of the package's immutable value types: the one place that
+    decides how a value is stored, built and hashed.
 
     A subclass lists its fields in ``__slots__``; private slots, named with
     a leading underscore, hold derived data and are not fields.  From the
@@ -31,17 +32,18 @@ class _Frozen:
 
     - ``__init__``, taking fields by position or by name; a missing, extra,
       repeated or unknown field raises ``TypeError``;
+    - ``_new``, taking the field values in order and checking nothing;
     - ``__eq__``: ``NotImplemented`` for another type, else equal keys;
-    - ``__hash__``: the hash of the key;
+    - ``__hash__``: the hash of the key, taken on first use and kept in the
+      base's ``_hash`` slot, since every cache lookup hashes its keys;
     - the repr ``Name(field=value, ...)`` and a ``__reduce__`` that rebuilds
       an instance through its constructor, for copying and pickling.
 
-    Setting an attribute raises.  A subclass that checks its input or
-    stores derived data writes its own ``__init__`` and sets its slots with
-    ``object.__setattr__``.
+    Setting an attribute raises.  A subclass that checks its input writes
+    its own ``__init__`` and hands the checked fields to the base's.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -50,13 +52,27 @@ class _Frozen:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = dict(zip(fields, args), **kwargs)
-        if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
-            raise TypeError(
-                f"{type(self).__name__}() takes the fields {', '.join(fields)} once each; "
-                f"got {len(args)} by position and {sorted(kwargs)} by name")
-        for field in fields:
-            object.__setattr__(self, field, values[field])
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args), **kwargs)
+            if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError(
+                    f"{type(self).__name__}() takes the fields {', '.join(fields)} once "
+                    f"each; got {len(args)} by position and {sorted(kwargs)} by name")
+            args = map(values.__getitem__, fields)
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _new(cls, *values):
+        """An instance from field values known to be valid, in order.  Nothing
+        is checked and no derived slot is set, so a type that stores derived
+        data is built through its constructor."""
+        obj = object.__new__(cls)
+        for field, value in zip(cls._fields, values):
+            object.__setattr__(obj, field, value)
+        object.__setattr__(obj, "_hash", None)
+        return obj
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -65,7 +81,11 @@ class _Frozen:
         return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        h = self._hash
+        if h is None:
+            h = hash(self._key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -112,26 +132,19 @@ class CartanMatrix(_Frozen):
     ``entry(i, j)`` is the integer pairing of the j-th simple root against
     the i-th simple coroot.  ``symmetrizer`` is a witness: positive rationals
     d with d_i * entry(i, j) == d_j * entry(j, i) for all i, j.  Construct
-    instances through :func:`validate_gcm`.  The hash is computed once, from
-    the rows and labels, since every cache lookup in the package hashes the
-    matrix.  So are the adjacency masks behind the connectivity test: bit
-    j-1 of the i-th mask is set when node j is a neighbour of node i.
+    instances through :func:`validate_gcm`.  The constructor also stores
+    the adjacency masks behind the connectivity test: bit j-1 of the i-th
+    mask is set when node j is a neighbour of node i.
     """
 
-    __slots__ = ("rows", "labels", "symmetrizer", "_hash", "_adjacency")
+    __slots__ = ("rows", "labels", "symmetrizer", "_adjacency")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
                  symmetrizer: tuple[Fraction, ...]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "symmetrizer", symmetrizer)
-        object.__setattr__(self, "_hash", hash((rows, labels)))
+        super().__init__(rows, labels, symmetrizer)
         object.__setattr__(self, "_adjacency", tuple(
             sum(1 << j for j, v in enumerate(row) if v and j != i)
             for i, row in enumerate(rows)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n(self) -> int:

@@ -20,10 +20,11 @@ bounded cache keyed on the packed key: a warm step is one cache hit, and
 a refused candidate is not cached, so it is checked again every time.  On
 a miss the step decodes the key, tests connectivity on node bitmasks, and
 the folded one reads lift data for the node tuples it builds without
-checking them again.  Both build each factor through the trusted
-``PVIndex._new``: the nodes they read off a candidate are sorted and
-distinct and the pairings nonnegative ints, so the checks of the public
-constructor would only repeat that.
+checking them again.  Both build each factor through ``PVIndex._new``,
+the trusted constructor every value type inherits from its base: the
+nodes they read off a candidate are sorted and distinct and the pairings
+nonnegative ints, so the checks of the public constructor would only
+repeat that.  The result is built the same way.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .errors import (
 )
 from .folding import FoldContext, Partition, _folded_log_numerator, _lift_data
 from .numerators import log_numerator
-from .series import _DENSE_TERM_LIMIT, Series, _coefficient, _packing, _Sum, support
-from .weyl import _CACHE_SIZE, PVIndex
+from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _coefficient, _packing, _Sum, support
+from .weyl import PVIndex
 
 
 class FactorizationResult(_Frozen):
@@ -134,7 +135,7 @@ def _peel(total: Series, step: Callable) -> FactorizationResult:
         residual.add(t, -m)
         factors += [pv] * m
         peeled.add(key)
-    return FactorizationResult(tuple(factors), 0, True, total.cap)
+    return FactorizationResult._new(tuple(factors), 0, True, total.cap)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -225,8 +226,8 @@ def recover_from_character_product(cm: CartanMatrix, product: Series,
         raise TooManyFactors(
             f"recovered {len(result.factors)} connected factors from a "
             f"product declared to have {count}")
-    return FactorizationResult(result.factors, count - len(result.factors),
-                               result.residual_zero, cap)
+    return FactorizationResult._new(result.factors, count - len(result.factors),
+                                    result.residual_zero, cap)
 
 
 def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:

@@ -33,18 +33,17 @@ from .errors import (
     SizeLimit,
 )
 from .numerators import log_numerator
-from .series import Series
-from .weyl import _CACHE_SIZE, PVIndex
+from .series import _CACHE_SIZE, Series
+from .weyl import PVIndex
 
 _LIFT_NODE_LIMIT = 16
 
 
 class Partition(_Frozen):
     """Nonempty disjoint classes covering 1..n, each sorted, ordered by
-    smallest member; any other input is refused with :class:`DomainError`.
-    The hash is computed once, as every cache keyed on a partition needs it."""
+    smallest member; any other input is refused with :class:`DomainError`."""
 
-    __slots__ = ("n", "classes", "_hash")
+    __slots__ = ("n", "classes")
 
     def __init__(self, n: int, classes: Iterable[Iterable[int]]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -55,13 +54,7 @@ class Partition(_Frozen):
         nodes = sorted(i for p in parts for i in p)
         if len(nodes) != n or nodes != list(range(1, n + 1)):  # no list longer than the input
             raise DomainError(f"classes do not partition 1..{n}")
-        classes = tuple(parts)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "_hash", hash((n, classes)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        super().__init__(n, tuple(parts))
 
     @classmethod
     def of(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
@@ -88,7 +81,7 @@ class DiagramAutomorphism(_Frozen):
         images = _node_ints(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise DomainError(f"{list(images)} is not a permutation of 1..{len(images)}")
-        object.__setattr__(self, "images", images)
+        super().__init__(images)
 
     def apply(self, node: int) -> int:
         return self.images[node - 1]
@@ -191,8 +184,7 @@ class FoldContext(_Frozen):
         if partition.n != cm.n:
             raise DomainError(
                 f"partition covers 1..{partition.n}, matrix has {cm.n} nodes")
-        object.__setattr__(self, "cm", cm)
-        object.__setattr__(self, "partition", partition)
+        super().__init__(cm, partition)
 
     # -- lifts -----------------------------------------------------------
 
@@ -306,5 +298,5 @@ def _lift_data(cm: CartanMatrix, partition: Partition, K: tuple[int, ...]) -> Li
     equi = meet in vectors
     ordered = sorted(map(_nodes, minimal))
     lean = sorted(_nodes(s) for s, v in zip(minimal, vectors) if v == meet)
-    return LiftData(tuple(ordered), tuple(lean) if equi else (),
-                    tuple(class_indices), meet if equi else None)
+    return LiftData._new(tuple(ordered), tuple(lean) if equi else (),
+                         tuple(class_indices), meet if equi else None)

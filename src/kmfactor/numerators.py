@@ -18,8 +18,8 @@ from typing import Iterable
 
 from .cartan import CartanMatrix, _Frozen, _mask
 from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity, SizeLimit
-from .series import Series
-from .weyl import _CACHE_SIZE, PVIndex, normalized_numerator
+from .series import _CACHE_SIZE, Series
+from .weyl import PVIndex, normalized_numerator
 
 _CLOSED_FORM_NODE_LIMIT = 12  # 13 isolated nodes already take about 20 s
 
@@ -64,7 +64,7 @@ def character(cm: CartanMatrix, pv: PVIndex, offset, cap: int) -> CharacterValue
     if body._den != 1 or min(body._terms.values()) < 0:
         exp, c = next((e, c) for e, c in body.items() if c.denominator != 1 or c < 0)
         raise NonIntegralCharacter(f"coefficient {c} at exponent {exp}")
-    return CharacterValue(offset, body)
+    return CharacterValue._new(offset, body)
 
 
 def leading_coefficient_closed_form(cm: CartanMatrix, nodes: Iterable[int]) -> Fraction:

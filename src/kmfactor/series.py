@@ -83,6 +83,7 @@ _DENSE_TERM_LIMIT = 100_000
 # Most term pairs a product may visit, a few seconds of work; the largest
 # product in the benchmark visits 7436.
 _PAIR_LIMIT = 10_000_000
+_CACHE_SIZE = 256  # entries per cache of the package; a peel pool needs ~30
 
 
 def degree(exponent: Sequence[int]) -> int:
@@ -109,6 +110,13 @@ def _coefficient(value, what: str = "coefficient") -> int | Fraction:
     """An exact rational, returned as given; anything else is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise DomainError(f"{what} {value!r} is not an int or a Fraction")
+    return value
+
+
+def _count(value, what: str) -> int:
+    """An int, returned as given; a bool or any other type is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} {value!r} is not an int")
     return value
 
 
@@ -141,7 +149,7 @@ class _Packing:
         return map(and_, map(add, keys, repeat(self.low)), repeat(self.guards))
 
 
-_packing = lru_cache(maxsize=256)(_Packing)
+_packing = lru_cache(maxsize=_CACHE_SIZE)(_Packing)
 
 
 def _quotient_bound(cap: int, unit_vars: int, degrees: Iterable[int]) -> int:
@@ -192,9 +200,9 @@ class Series:
 
     def __new__(cls, nvars: int, cap: int,
                 terms: Mapping[Exponent, object] | Iterable[tuple[Exponent, object]] = ()):
-        if nvars < 0:
+        if _count(nvars, "nvars") < 0:
             raise DomainError("nvars must be nonnegative")
-        if cap < 0:
+        if _count(cap, "cap") < 0:
             raise DomainError("cap must be nonnegative")
         key = _packing(nvars, cap).key
         items = terms.items() if isinstance(terms, Mapping) else terms

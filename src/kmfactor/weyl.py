@@ -18,9 +18,7 @@ from typing import Iterable, Mapping
 
 from .cartan import CartanMatrix, _Frozen
 from .errors import DomainError, NegativeIntegrability, TermLimit
-from .series import _DENSE_TERM_LIMIT, Series, _packing
-
-_CACHE_SIZE = 256  # entries per (matrix, index, cap) cache; a peel pool needs ~30
+from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _count, _packing
 
 
 class PVIndex(_Frozen):
@@ -29,11 +27,10 @@ class PVIndex(_Frozen):
     ``nodes`` is the sorted integrable node set and ``pairings[k]`` the
     coroot pairing of the highest weight at ``nodes[k]``.  Only this data
     enters any computation, so two indices compare equal exactly when they
-    are interchangeable everywhere.  The hash is computed once, since every
-    cache lookup of a factor hashes its index.
+    are interchangeable everywhere.
     """
 
-    __slots__ = ("nodes", "pairings", "_hash")
+    __slots__ = ("nodes", "pairings")
 
     def __init__(self, nodes: Iterable[int], pairings: Iterable[int]):
         nodes = tuple(nodes)
@@ -48,23 +45,7 @@ class PVIndex(_Frozen):
                 raise DomainError(f"pairing at node {i} is not an integer")
             if p < 0:
                 raise NegativeIntegrability(f"pairing at node {i} is {p} < 0")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "pairings", pairings)
-        object.__setattr__(self, "_hash", hash((nodes, pairings)))
-
-    @classmethod
-    def _new(cls, nodes: tuple[int, ...], pairings: tuple[int, ...]) -> "PVIndex":
-        """An index from fields known to be valid, taken as they are: ``nodes``
-        a sorted tuple of distinct nodes, ``pairings`` a tuple of as many
-        nonnegative ints.  Nothing is checked."""
-        pv = object.__new__(cls)
-        object.__setattr__(pv, "nodes", nodes)
-        object.__setattr__(pv, "pairings", pairings)
-        object.__setattr__(pv, "_hash", hash((nodes, pairings)))
-        return pv
-
-    def __hash__(self) -> int:
-        return self._hash
+        super().__init__(nodes, pairings)
 
     @classmethod
     def from_map(cls, nodes: Iterable[int], lam: Mapping[int, int]) -> "PVIndex":
@@ -107,12 +88,12 @@ def orbit_terms(cm: CartanMatrix, nodes: Iterable[int],
     pv = PVIndex.from_map(I, dict(lam))
     signs = _orbit(cm, pv, cap)
     exponent = _packing(cm.n, cap).exponent
-    return [OrbitTerm(exponent(key), signs[key]) for key in sorted(signs)]
+    return [OrbitTerm._new(exponent(key), signs[key]) for key in sorted(signs)]
 
 
 def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> dict[int, int]:
     """The orbit of :func:`orbit_terms` as a map from packed offset keys to signs."""
-    if cap < 0:
+    if _count(cap, "cap") < 0:
         raise DomainError("cap must be nonnegative")
     I = cm.check_nodes(pv.nodes)
     pack = _packing(cm.n, cap)

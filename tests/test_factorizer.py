@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from catalog import all_connected_subsets, cartan
 from kmfactor import (
+    FactorizationResult,
     FoldContext,
     factorizer,
     PVIndex,
@@ -23,7 +24,7 @@ from kmfactor import (
     validate_gcm,
     verify_equivalence,
 )
-from kmfactor.cartan import CartanMatrix
+from kmfactor.cartan import CartanMatrix, _Frozen
 from kmfactor.errors import (
     DisconnectedCandidateSupport,
     DivisibilityFailure,
@@ -539,6 +540,25 @@ def test_warm_peels_build_indices_unchecked(a3):
     assert calls == []
     assert Counter(got_plain) == Counter(plain) and Counter(got_folded) == Counter(folded)
     assert_valid_indices(got_plain + got_folded)
+
+
+def test_warm_peels_build_no_value_checked(a3):
+    # factors come from the step caches and each result is built unchecked
+    peel_both, plain, folded = warm_peels(a3)
+    init = _Frozen.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(_Frozen, "__init__", counted):
+        got_plain, got_folded = peel_both()
+        assert calls == []
+        FactorizationResult((), 0, True, 8)
+        PVIndex((1,), (0,))
+    assert calls == ["FactorizationResult", "PVIndex"]  # the counter is in place
+    assert Counter(got_plain) == Counter(plain) and Counter(got_folded) == Counter(folded)
 
 
 def test_warm_peel_steps_are_one_lookup(a3):

@@ -14,11 +14,29 @@ from kmfactor import (
     marker_exponent,
     normalized_numerator,
     root_multiplicities,
+    validate_gcm,
 )
 from kmfactor import numerators
 from kmfactor.errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity
 from kmfactor.series import Series, support
 from oracles import convolution_multiplicities, geometric_log
+
+
+def test_cap_must_be_an_int():
+    # a matrix of its own, so every cache entry below is made here
+    cm = validate_gcm([[2, -1], [-1, 2]], ["cap-a", "cap-b"])
+    pv = PVIndex((1, 2), (0, 1))
+    for bad in (True, 2.5):
+        with pytest.raises(DomainError, match="is not an int"):
+            log_numerator(cm, pv, bad)
+    with pytest.raises(DomainError, match="is not an int"):
+        root_multiplicities(cm, 2.5)
+    with pytest.raises(DomainError, match="^cap must be nonnegative$"):
+        log_numerator(cm, pv, -1)
+    # the refused bool left no entry, so 1 gets a series of its own; a bool
+    # equal to a cached cap finds that entry, whose cap is an int
+    for cap in (1, True):
+        assert type(log_numerator(cm, pv, cap).cap) is int
 
 
 def test_marker_exponent(a2, a1):

@@ -105,6 +105,19 @@ def test_bad_exponents_rejected():
         series(2, 3, {(-1, 0): 1})
 
 
+def test_counts_must_be_ints():
+    # a bool would pass for 0 or 1, and a float or a str failed later, unexplained
+    for nvars, cap in ((1, True), (True, 2), (1, 2.5), ("a", 2), (1, None)):
+        with pytest.raises(DomainError, match="is not an int"):
+            Series(nvars, cap)
+    with pytest.raises(DomainError, match="cap True is not an int"):
+        Series.one(1, True)
+    with pytest.raises(DomainError, match="^nvars must be nonnegative$"):
+        Series(-1, 2)
+    with pytest.raises(DomainError, match="^cap must be nonnegative$"):
+        Series(1, -1)
+
+
 def test_inexact_coefficients_rejected():
     for bad in (0.1, 1.0, "1/2", None, True, complex(1, 0)):
         with pytest.raises(DomainError):
@@ -541,6 +554,18 @@ def test_public_helpers_are_left_to_the_tracer():
               if not name.startswith("_") and callable(value) and not isinstance(value, type)
               and getattr(value, "__module__", None) == "kmfactor.series"}
     assert public and public <= helpers
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, and every check must hold under it
+    package = os.path.dirname(series_module.__file__)
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "series.py" in names and "cartan.py" in names
+    for name in names:
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], name
 
 
 def test_tracer_installs():

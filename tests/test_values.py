@@ -1,4 +1,4 @@
-"""The package's immutable value types and the hash cached on CartanMatrix."""
+"""The package's immutable value types and the hash their base caches."""
 
 import copy
 import fractions
@@ -77,8 +77,34 @@ def test_value_type(cls, fields, key, other):
         cls.__name__, ", ".join(f"{k}={v!r}" for k, v in fields.items()))
 
 
+FIELDS = {case[0]: case[1] for case in CASES}
+
+
 def test_every_value_type_is_checked():
-    assert set(_Frozen.__subclasses__()) == {case[0] for case in CASES}
+    assert set(_Frozen.__subclasses__()) == set(FIELDS)
+
+
+@pytest.mark.parametrize("cls", sorted(_Frozen.__subclasses__(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_value_contract(cls, monkeypatch):
+    """Built checked or unchecked, copied or pickled, a value is equal and
+    hashes alike, from a hash taken once, outside the fields and the repr."""
+    values = FIELDS[cls].values()
+    value = cls(*values)
+    assert cls._new(*values) == value
+    assert "_hash" not in cls._fields and "_hash" not in repr(value)
+    copies = [cls._new(*values), copy.copy(value), copy.deepcopy(value),
+              pickle.loads(pickle.dumps(value))]
+    assert all(type(c) is cls and c == value for c in copies)
+    if cls is CharacterValue:  # a Series is not hashable
+        for v in [value, *copies]:
+            with pytest.raises(TypeError):
+                hash(v)
+        return
+    h = hash(value)
+    assert h == hash(value._key(value)) and [hash(c) for c in copies] == [h] * len(copies)
+    monkeypatch.setattr(cls, "_key", None)  # the fields are not read again
+    assert hash(value) == h and [hash(c) for c in copies] == [h] * len(copies)
 
 
 def test_generic_constructor():
@@ -150,7 +176,7 @@ def test_indices_and_partitions_are_hashed_once(monkeypatch):
         built += [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
         for other in built:
             assert other == value and hash(other) == hash(value) == hash(value._key(value))
-        assert "_hash" in type(value).__slots__ and "_hash" not in type(value)._fields
+        assert "_hash" in _Frozen.__slots__ and "_hash" not in type(value).__slots__
     assert repr(pv) == "PVIndex(nodes=(1, 3), pairings=(2, 0))"
     assert repr(p) == "Partition(n=3, classes=((1, 3), (2,)))"
     for cls in (PVIndex, Partition):

@@ -144,6 +144,13 @@ def test_orbit_term_budget(a3, monkeypatch):
         normalized_numerator(a3, full, 41)
 
 
+def test_orbit_cap_must_be_an_int(a2):
+    with pytest.raises(DomainError, match="cap 3.5 is not an int"):
+        orbit_terms(a2, [1], {1: 0}, 3.5)
+    with pytest.raises(DomainError, match="^cap must be nonnegative$"):
+        orbit_terms(a2, [1], {1: 0}, -1)
+
+
 def test_caches_are_bounded():
     # relabelled copies are distinct matrices, so every call adds new entries
     pv = PVIndex((1, 2), (0, 1))
@@ -161,6 +168,7 @@ def test_caches_are_bounded():
                   factorizer._folded_step):
         assert cache.cache_info().maxsize == 256
         assert cache.cache_info().currsize == 256
+    assert series_module._packing.cache_info().maxsize == 256
 
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
