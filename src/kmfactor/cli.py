@@ -41,7 +41,7 @@ from .numerators import (
     marker_exponent,
     root_multiplicities,
 )
-from .series import Series, _Sum
+from .series import Series, _reduce, _Sum
 from .weyl import PVIndex, normalized_numerator
 
 
@@ -327,7 +327,7 @@ def _cmd_factor(args, payload, folded=False):
                 ctx.check_symmetric(pv)
             _require_marker_fits(cm, pv, cap)
             acc.add(term(pv, cap), 1)
-        total = Series._new(nvars, cap, acc.terms, acc.den)
+        total = Series._new(nvars, cap, *_reduce(acc.terms, acc.den))
     elif "series" in payload:
         total = _parse_series(payload["series"], nvars, cap, "/series")
     else:

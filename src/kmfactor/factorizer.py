@@ -13,7 +13,8 @@ The folded variant runs the same loop in class variables, decoding markers
 through lean-lift counts.
 
 The loop keeps its residual in the accumulator behind series sums and
-subtracts each peeled log-numerator in place, so a step builds no series.
+subtracts each peeled log-numerator in place, one dict lookup per term, so
+a step builds no series.
 For a fixed matrix, partition and cap, a candidate key determines its
 factor and that factor's log-numerator, so each step is one call of a
 bounded cache keyed on the packed key: a warm step is one cache hit, and
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import compress, repeat
+from operator import eq
 from typing import Callable, Sequence
 
 from .cartan import CartanMatrix, _Frozen
@@ -51,7 +53,7 @@ from .errors import (
 from .folding import FoldContext, Partition, _folded_log_numerator, _lift_data
 from .numerators import log_numerator
 from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _coefficient, _packing, _Sum, support
-from .weyl import PVIndex
+from .weyl import PVIndex, _full_index
 
 
 class FactorizationResult(_Frozen):
@@ -72,6 +74,18 @@ class _Residual(_Sum):
 
     __slots__ = ()
 
+    def add(self, t: Series, step: int) -> None:
+        """Add ``step`` times ``t`` with one lookup per term: nearly every key
+        of a peeled log-numerator vanishes here, and a residual is never
+        copied, so the slot a surviving key leaves behind costs nothing."""
+        step = self._multiplier(t, step)
+        terms = self.terms
+        pop = terms.pop
+        for key, n in t._terms.items():
+            acc = pop(key, 0) + n * step
+            if acc:
+                terms[key] = acc
+
     def candidate(self) -> int:
         """Key of the deterministic peel candidate: support-maximal, then minimal.
 
@@ -89,7 +103,7 @@ class _Residual(_Sum):
         """
         pack, keys = self.pack, self.terms.keys()
         masks = list(pack.supports(keys))
-        return min(compress(keys, map(max(masks).__eq__, masks)), key=pack.lex.__and__)
+        return min(compress(keys, map(eq, masks, repeat(max(masks)))), key=pack.lex.__and__)
 
 
 def _peel(total: Series, step: Callable) -> FactorizationResult:
@@ -196,7 +210,7 @@ def peel_log_sum(cm: CartanMatrix, total: Series) -> FactorizationResult:
     """
     if total.nvars != cm.n:
         raise DomainError(f"series has {total.nvars} variables, matrix has {cm.n} nodes")
-    if total.constant_term:
+    if total._terms.get(0):  # key 0 is the zero exponent
         raise DomainError("a sum of log-numerators has zero constant term")
     return _peel(total, partial(_plain_step, cm, total.cap))
 
@@ -219,8 +233,7 @@ def recover_from_character_product(cm: CartanMatrix, product: Series,
     if product.nvars != cm.n:
         raise DomainError(f"series has {product.nvars} variables, matrix has {cm.n} nodes")
     cap = product.cap
-    full = PVIndex(cm.nodes(), (0,) * cm.n)
-    total = -(product.log1()) + log_numerator(cm, full, cap).scale(count)
+    total = -(product.log1()) + log_numerator(cm, _full_index(cm), cap).scale(count)
     result = peel_log_sum(cm, total)
     if len(result.factors) > count:
         raise TooManyFactors(
@@ -240,7 +253,7 @@ def peel_folded(ctx: FoldContext, total: Series) -> FactorizationResult:
         raise DomainError(
             f"series has {total.nvars} variables, partition has "
             f"{ctx.partition.num_classes} classes")
-    if total.constant_term:
+    if total._terms.get(0):
         raise DomainError("a folded sum of log-numerators has zero constant term")
 
     return _peel(total, partial(_folded_step, ctx.cm, ctx.partition, total.cap))

@@ -246,7 +246,7 @@ class FoldContext(_Frozen):
         return PVIndex(K, [class_pairings[index(i)] for i in K])
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)  # a bool cap misses, and is refused
 def _folded_log_numerator(cm: CartanMatrix, partition: Partition, pv: PVIndex,
                           cap: int) -> Series:
     return log_numerator(cm, pv, cap).fold(partition)

@@ -19,7 +19,7 @@ from typing import Iterable
 from .cartan import CartanMatrix, _Frozen, _mask
 from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity, SizeLimit
 from .series import _CACHE_SIZE, Series
-from .weyl import PVIndex, normalized_numerator
+from .weyl import PVIndex, _full_index, normalized_numerator
 
 _CLOSED_FORM_NODE_LIMIT = 12  # 13 isolated nodes already take about 20 s
 
@@ -33,7 +33,7 @@ def marker_exponent(cm: CartanMatrix, pv: PVIndex) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)  # a bool cap misses, and is refused
 def log_numerator(cm: CartanMatrix, pv: PVIndex, cap: int) -> Series:
     """Minus the log of the normalized numerator; constant term 0."""
     return -(normalized_numerator(cm, pv, cap).log1())
@@ -58,8 +58,8 @@ def character(cm: CartanMatrix, pv: PVIndex, offset, cap: int) -> CharacterValue
     that is negative or non-integral is a bug and raises rather than being
     dropped.
     """
-    full = PVIndex(cm.nodes(), (0,) * cm.n)
-    body = normalized_numerator(cm, pv, cap).divide(normalized_numerator(cm, full, cap))
+    full = normalized_numerator(cm, _full_index(cm), cap)
+    body = normalized_numerator(cm, pv, cap).divide(full)
     # the stored form is unique, so integral means a denominator of 1
     if body._den != 1 or min(body._terms.values()) < 0:
         exp, c = next((e, c) for e, c in body.items() if c.denominator != 1 or c < 0)
@@ -141,8 +141,7 @@ def root_multiplicities(cm: CartanMatrix, cap: int) -> dict[tuple[int, ...], int
     """
     if cap < 1:
         raise DomainError("cap must be at least 1")
-    full = PVIndex(cm.nodes(), (0,) * cm.n)
-    log_full = log_numerator(cm, full, cap)
+    log_full = log_numerator(cm, _full_index(cm), cap)
     terms, den, pack = log_full._terms, log_full._den, log_full._pack
     out: dict[int, int] = {}
     for key in sorted(terms):  # key order is ascending degree

@@ -29,15 +29,26 @@ Exponent tuples and coefficients appear only at the edges: the public
 constructor's input, ``coefficient``, ``constant_term``, ``exponents``,
 ``items`` and ``text``.  A coefficient is an ``int`` when the denominator
 is 1 and a ``Fraction`` otherwise; both are exact and print alike.  Every
-series is built by one private constructor from keys and numerators; the
-public one checks and packs its exponents and then ends in it, and
-:mod:`kmfactor.weyl` enumerates orbits on keys, so a numerator decodes and
-checks no exponent.  Sums, differences and the peel residual of
-:mod:`kmfactor.factorizer` share one mutable accumulator, ``_Sum``; a sum
-starts as a copy of the operand with more terms and adds the other one term
-by term, so its Python-level work scales with the smaller operand; negation
-and scaling work on the stored numerators; ``fold`` re-packs each key
-through a per-class digit map.
+series is built by one private constructor, ``_new``, which stores keys and
+numerators as it gets them; the operations that can leave a factor common
+to the denominator and every numerator (the public constructor, sums,
+products, scalings by anything but 1 or -1, ``divide``, ``log1`` and
+``fold``) first divide it out with ``_reduce``.  ``zero`` and ``one`` check
+their counts and build directly.  The public constructor checks and packs
+its exponents, and :mod:`kmfactor.weyl` enumerates orbits on keys, so a
+numerator decodes and checks no exponent.
+
+Sums, differences and the peel residual of :mod:`kmfactor.factorizer` share
+one mutable accumulator, ``_Sum``.  A zero operand costs nothing: x + 0,
+x - 0 and 0 + x give x as it is, and 0 - x gives -x.  Otherwise a sum
+starts as a copy of the operand with more terms and adds the other one
+term by term, so its Python-level work scales with the smaller operand; a
+key that stays nonzero keeps its slot, so the copy the next sum makes of a
+result runs at C speed.  The peel residual, which is never copied and
+where nearly every key vanishes, adds with one lookup per term instead.
+Negation, and scaling by -1, negate the numerators over the same
+denominator: gcd(den, -n) = gcd(den, n), so no gcd is taken.  ``fold``
+re-packs each key through a per-class digit map.
 
 All operations are pure, truncate at the common cap, and report terms in
 term order, so results are deterministic.
@@ -120,6 +131,24 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _check_shape(nvars, cap) -> None:
+    """Refuse a variable count or cap that is not a nonnegative int."""
+    if _count(nvars, "nvars") < 0:
+        raise DomainError("nvars must be nonnegative")
+    if _count(cap, "cap") < 0:
+        raise DomainError("cap must be nonnegative")
+
+
+def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Nonzero numerators over ``den`` in the stored form: the gcd of the
+    denominator and the numerators divided out."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            return {k: n // g for k, n in terms.items()}, den // g
+    return terms, den
+
+
 class _Packing:
     """Key layout of the exponents of one (nvars, cap); see the module doc."""
 
@@ -174,16 +203,24 @@ class _Sum:
         self.den = start._den
         self.pack = start._pack
 
-    def add(self, t: "Series", step: int) -> None:
-        """Add ``step`` times ``t``, a series of the same shape."""
-        terms = self.terms
+    def _multiplier(self, t: "Series", step: int) -> int:
+        """Bring the sum over a denominator that ``t``'s divides, and return
+        what ``t``'s numerators are multiplied by to add ``step`` times ``t``."""
         if self.den % t._den:
             den = math.lcm(self.den, t._den)
             lift = den // self.den
+            terms = self.terms
             for key, n in terms.items():
                 terms[key] = n * lift
             self.den = den
-        step *= self.den // t._den
+        return step * (self.den // t._den)
+
+    def add(self, t: "Series", step: int) -> None:
+        """Add ``step`` times ``t``, a series of the same shape.  A key that
+        stays nonzero keeps its slot, so the dict stays compact and the next
+        sum copies it at C speed."""
+        step = self._multiplier(t, step)
+        terms = self.terms
         get = terms.get
         for key, n in t._terms.items():
             acc = get(key, 0) + n * step
@@ -200,10 +237,7 @@ class Series:
 
     def __new__(cls, nvars: int, cap: int,
                 terms: Mapping[Exponent, object] | Iterable[tuple[Exponent, object]] = ()):
-        if _count(nvars, "nvars") < 0:
-            raise DomainError("nvars must be nonnegative")
-        if _count(cap, "cap") < 0:
-            raise DomainError("cap must be nonnegative")
+        _check_shape(nvars, cap)
         key = _packing(nvars, cap).key
         items = terms.items() if isinstance(terms, Mapping) else terms
         exact: dict[int, int | Fraction] = {}
@@ -214,19 +248,14 @@ class Series:
                 k = key(exp)
                 exact[k] = exact.get(k, 0) + c
         den = math.lcm(*(c.denominator for c in exact.values()))
-        return cls._new(nvars, cap, {k: c.numerator * (den // c.denominator)
-                                     for k, c in exact.items() if c}, den)
+        return cls._new(nvars, cap, *_reduce({k: c.numerator * (den // c.denominator)
+                                              for k, c in exact.items() if c}, den))
 
     @classmethod
     def _new(cls, nvars: int, cap: int, terms: dict[int, int], den: int) -> "Series":
-        """The one constructor behind every series: nonzero numerators at
-        packed keys over ``den``, taken as they are and with the gcd of the
-        denominator and the numerators divided out."""
-        if den != 1:
-            g = math.gcd(den, *terms.values())
-            if g != 1:
-                den //= g
-                terms = {k: n // g for k, n in terms.items()}
+        """The one constructor behind every series: it stores nonzero
+        numerators at packed keys over ``den`` as they are, so they must
+        already be in the stored form of :func:`_reduce`."""
         s = object.__new__(cls)
         object.__setattr__(s, "nvars", nvars)
         object.__setattr__(s, "cap", cap)
@@ -245,11 +274,13 @@ class Series:
 
     @classmethod
     def zero(cls, nvars: int, cap: int) -> "Series":
-        return cls(nvars, cap)
+        _check_shape(nvars, cap)
+        return cls._new(nvars, cap, {}, 1)
 
     @classmethod
     def one(cls, nvars: int, cap: int) -> "Series":
-        return cls(nvars, cap, {(0,) * nvars: 1})
+        _check_shape(nvars, cap)
+        return cls._new(nvars, cap, {0: 1}, 1)  # key 0 is the zero exponent
 
     @classmethod
     def monomial(cls, nvars: int, cap: int, exponent: Sequence[int], coeff=1) -> "Series":
@@ -311,17 +342,22 @@ class Series:
             raise CapMismatch(f"caps differ: {self.cap} vs {other.cap}")
 
     def _combine(self, other: "Series", sign: int) -> "Series":
-        """``self + sign * other`` over the lcm of the two denominators.  The
-        sum starts as a copy of the operand with more terms, and only the
-        other one is added term by term."""
+        """``self + sign * other`` over the lcm of the two denominators.  A
+        zero operand gives the other one, negated if it is subtracted, as it
+        is; otherwise the sum starts as a copy of the operand with more
+        terms, and only the other one is added term by term."""
         self._check_compatible(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other if sign == 1 else -other
         if len(self._terms) >= len(other._terms):
             total = _Sum(self)
             total.add(other, sign)
         else:
             total = _Sum(other, sign)
             total.add(self, 1)
-        return Series._new(self.nvars, self.cap, total.terms, total.den)
+        return Series._new(self.nvars, self.cap, *_reduce(total.terms, total.den))
 
     def __add__(self, other: "Series") -> "Series":
         return self._combine(other, 1) if isinstance(other, Series) else NotImplemented
@@ -330,15 +366,22 @@ class Series:
         return self._combine(other, -1) if isinstance(other, Series) else NotImplemented
 
     def __neg__(self) -> "Series":
-        return self.scale(-1)
+        # gcd(den, -n) = gcd(den, n), so the negated numerators stay reduced
+        return Series._new(self.nvars, self.cap, {k: -n for k, n in self._terms.items()},
+                           self._den)
 
     def scale(self, coeff) -> "Series":
         c = _coefficient(coeff)
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         if not c:
             return Series._new(self.nvars, self.cap, {}, 1)
         p = c.numerator
-        return Series._new(self.nvars, self.cap, {k: p * n for k, n in self._terms.items()},
-                           self._den * c.denominator)
+        return Series._new(self.nvars, self.cap,
+                           *_reduce({k: p * n for k, n in self._terms.items()},
+                                    self._den * c.denominator))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -374,8 +417,8 @@ class Series:
                 for kb, cb in prefix:
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
-        return Series._new(self.nvars, cap, {k: v for k, v in out.items() if v},
-                           self._den * other._den)
+        return Series._new(self.nvars, cap, *_reduce({k: v for k, v in out.items() if v},
+                                                     self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -390,13 +433,13 @@ class Series:
         """
         shift, cap = self._pack.shift, self.cap
         grown = Series._new(self.nvars, cap,
-                            {k: n * (k >> shift) for k, n in self._terms.items() if k},
-                            self._den)
+                            *_reduce({k: n * (k >> shift) for k, n in self._terms.items() if k},
+                                     self._den))
         q = grown.divide(self)
         lcm = math.lcm(*{k >> shift for k in q._terms})
         return Series._new(self.nvars, cap,
-                           {k: n * (lcm // (k >> shift)) for k, n in q._terms.items()},
-                           q._den * lcm)
+                           *_reduce({k: n * (lcm // (k >> shift)) for k, n in q._terms.items()},
+                                    q._den * lcm))
 
     def invert(self) -> "Series":
         """Multiplicative inverse of a series with constant term 1."""
@@ -452,7 +495,7 @@ class Series:
             powers = [grade ** (top - d) for d in range(top + 1)]
             qden *= powers[0]
             out = {k: v * powers[k >> shift] for k, v in out.items()}
-        return Series._new(nvars, cap, out, qden)
+        return Series._new(nvars, cap, *_reduce(out, qden))
 
     def fold(self, partition) -> "Series":
         """Collapse variables along a :class:`kmfactor.folding.Partition`.
@@ -479,7 +522,7 @@ class Series:
                 out[folded] = acc
             else:
                 del out[folded]
-        return Series._new(len(parts), self.cap, out, self._den)
+        return Series._new(len(parts), self.cap, *_reduce(out, self._den))
 
     # -- rendering ---------------------------------------------------------
 

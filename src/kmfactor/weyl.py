@@ -64,6 +64,12 @@ class PVIndex(_Frozen):
         return dict(zip(self.nodes, self.pairings))
 
 
+def _full_index(cm: CartanMatrix) -> PVIndex:
+    """The index of the whole node set with every pairing 0, built trusted:
+    its fields are valid by construction."""
+    return PVIndex._new(cm.nodes(), (0,) * cm.n)
+
+
 class OrbitTerm(_Frozen):
     """One orbit point: its offset exponent and the sign of the group element."""
 
@@ -126,7 +132,7 @@ def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> dict[int, int]:
     return signs
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)  # a bool cap misses, and is refused
 def normalized_numerator(cm: CartanMatrix, pv: PVIndex, cap: int) -> Series:
     """The alternating orbit sum as a series with constant term 1.
 

@@ -88,9 +88,16 @@ def test_incomparable_maximal_factors(a2):
     assert Counter(result.factors) == Counter(factors)
 
 
-def test_peel_rejects_nonzero_constant(a1):
-    with pytest.raises(DomainError):
-        peel_log_sum(a1, Series.one(1, 4))
+def test_peel_rejects_nonzero_constant(a1, a3):
+    # the check reads the stored numerator: no coefficient is built
+    ctx = FoldContext(a3, orbit_partition(a3, [[3, 2, 1]]))
+    with mock.patch.object(Series, "constant_term", property(lambda s: 1 / 0)):
+        with pytest.raises(DomainError, match="^a sum of log-numerators has zero constant term$"):
+            peel_log_sum(a1, Series.one(1, 4))
+        with pytest.raises(DomainError, match="^a folded sum of log-numerators has zero "):
+            peel_folded(ctx, Series.one(2, 4))
+        pv = PVIndex((1,), (0,))
+        assert peel_log_sum(a1, log_sum(a1, [pv], 4)).factors == (pv,)
 
 
 def test_negative_leading_coefficient(a1):

@@ -1,10 +1,14 @@
+import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from catalog import MATRICES, all_connected_subsets, cartan
 from kmfactor import (
+    FoldContext,
+    Partition,
     PVIndex,
     character,
     connected_components,
@@ -13,10 +17,11 @@ from kmfactor import (
     log_numerator,
     marker_exponent,
     normalized_numerator,
+    recover_from_character_product,
     root_multiplicities,
     validate_gcm,
 )
-from kmfactor import numerators
+from kmfactor import folding, numerators
 from kmfactor.errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity
 from kmfactor.series import Series, support
 from oracles import convolution_multiplicities, geometric_log
@@ -33,10 +38,18 @@ def test_cap_must_be_an_int():
         root_multiplicities(cm, 2.5)
     with pytest.raises(DomainError, match="^cap must be nonnegative$"):
         log_numerator(cm, pv, -1)
-    # the refused bool left no entry, so 1 gets a series of its own; a bool
-    # equal to a cached cap finds that entry, whose cap is an int
-    for cap in (1, True):
-        assert type(log_numerator(cm, pv, cap).cap) is int
+    # a bool equal to a cached cap misses that entry, so it is refused as
+    # well, and the refusal adds no entry
+    ctx = FoldContext(cm, Partition.of(2, [[1, 2]]))
+    for cache, term in ((log_numerator, functools.partial(log_numerator, cm, pv)),
+                        (normalized_numerator, functools.partial(normalized_numerator, cm, pv)),
+                        (folding._folded_log_numerator, functools.partial(
+                            ctx.fold_log_numerator, PVIndex((1, 2), (1, 1))))):
+        assert type(term(1).cap) is int
+        size = cache.cache_info().currsize
+        with pytest.raises(DomainError, match="^cap True is not an int$"):
+            term(True)
+        assert cache.cache_info().currsize == size
 
 
 def test_marker_exponent(a2, a1):
@@ -130,6 +143,26 @@ def test_root_multiplicities_match_convolution_oracle():
     for name in MATRICES:
         cm = cartan(name)
         assert root_multiplicities(cm, 11) == convolution_multiplicities(cm, 11), name
+
+
+def test_full_set_index_is_built_trusted(a2):
+    # the full-set index is valid by construction, so no call checks it
+    pv = PVIndex((1,), (1,))
+    body = character(a2, pv, None, 5).body
+    init = PVIndex.__init__
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    with mock.patch.object(PVIndex, "__init__", counted):
+        character(a2, pv, None, 5)
+        root_multiplicities(a2, 5)
+        assert recover_from_character_product(a2, body, 1).factors == (pv,)
+        assert calls == []
+        PVIndex((1, 2), (0, 0))
+    assert calls == [((1, 2), (0, 0))]  # the counter is in place
 
 
 def test_log_full_set_equals_geometric_sum_over_roots(b2):

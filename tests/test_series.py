@@ -278,6 +278,31 @@ def test_sum_adds_only_the_smaller_operand():
         assert len(built) == 1
 
 
+def test_zero_operands_and_sign_changes_are_free():
+    # no sum is built and no gcd is taken; a series is immutable, so an
+    # operand comes back as it is
+    x = series(2, 6, {(0, 0): 4, (1, 0): Fraction(1, 3), (3, 3): Fraction(-2, 5)})
+    zero = Series.zero(2, 6)
+    negated = naive_scale(x, -1)
+    sums = []
+
+    class CountedSum(series_module._Sum):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            sums.append(args)
+            super().__init__(*args)
+
+    with mock.patch.object(series_module, "_Sum", CountedSum), \
+            mock.patch.object(math, "gcd", side_effect=math.gcd) as gcd:
+        assert (x + zero) is x and (zero + x) is x and (x - zero) is x and x.scale(1) is x
+        for got in (zero - x, -x, x.scale(-1), x.scale(Fraction(-1))):
+            assert got._terms == negated._terms and got._den == negated._den
+        assert (sums, gcd.call_count) == ([], 0)
+        x + x
+        assert (len(sums), gcd.call_count) == (1, 1)  # the counters are in place
+
+
 # -- multiplication --------------------------------------------------------------
 
 def test_mul_telescoping():
@@ -447,6 +472,22 @@ def test_log_and_invert_rational_match_naive(a):
     assert any(c.denominator > 1 for _, c in a.items())
     assert a.log1() == naive_log1(a)
     assert a.invert() == naive_invert(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_series(), wide_series(), non_integer_unit(3, 5), partitions())
+def test_every_operation_keeps_the_stored_form(a, b, unit, partition):
+    zero = Series.zero(a.nvars, a.cap)
+    for got, want in ((a * b, naive_mul(a, b)),
+                      (a.divide(unit), naive_mul(a, naive_invert(unit))),
+                      (unit.invert(), naive_invert(unit)), (unit.log1(), naive_log1(unit)),
+                      (a.fold(partition), naive_fold(a, partition.classes)),
+                      (a.scale(1), a), (a.scale(-1), naive_scale(a, -1)),
+                      (a.scale(Fraction(-1)), naive_scale(a, -1)),
+                      (a + zero, a), (zero + a, a), (a - zero, a),
+                      (zero - a, naive_scale(a, -1))):
+        assert got == want
+        assert stored_form_is_normalized(got)
 
 
 @pytest.mark.parametrize("nvars,cap", [(0, 0), (0, 3), (2, 0), (2, 1), (3, 1)])
