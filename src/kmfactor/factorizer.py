@@ -13,8 +13,8 @@ The folded variant runs the same loop in class variables, decoding markers
 through lean-lift counts.
 
 The loop keeps its residual in the accumulator behind series sums and
-subtracts each peeled log-numerator in place, one dict lookup per term, so
-a step builds no series.
+subtracts each peeled log-numerator in place, one dict lookup for each
+key that vanishes, so a step builds no series.
 For a fixed matrix, partition and cap, a candidate key determines its
 factor and that factor's log-numerator, so each step is one call of a
 bounded cache keyed on the packed key: a warm step is one cache hit, and
@@ -75,9 +75,10 @@ class _Residual(_Sum):
     __slots__ = ()
 
     def add(self, t: Series, step: int) -> None:
-        """Add ``step`` times ``t`` with one lookup per term: nearly every key
-        of a peeled log-numerator vanishes here, and a residual is never
-        copied, so the slot a surviving key leaves behind costs nothing."""
+        """Add ``step`` times ``t`` with one lookup for a key that vanishes
+        and two for one that survives: nine in ten keys of a peeled
+        log-numerator vanish here, and a residual is never copied, so the
+        deleted slot a surviving key leaves behind is never copied either."""
         step = self._multiplier(t, step)
         terms = self.terms
         pop = terms.pop
