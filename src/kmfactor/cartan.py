@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DiagonalNotTwo,
@@ -18,6 +18,9 @@ from .errors import (
     NotSymmetrizable,
     PositiveOffDiagonal,
     ZeroPatternAsymmetric,
+    _count,
+    _iterable,
+    _node_ints,
 )
 
 
@@ -101,24 +104,6 @@ class _Frozen:
 def _mask(nodes: Iterable[int]) -> int:
     """The bitmask of a node set, bit i-1 for node i."""
     return sum(1 << (i - 1) for i in nodes)
-
-
-def _iterable(values, what: str) -> Iterator:
-    """An iterator over the values; a non-iterable is refused with :class:`DomainError`."""
-    try:
-        return iter(values)
-    except TypeError:
-        raise DomainError(f"{what} of type {type(values).__name__} is not iterable") from None
-
-
-def _node_ints(values: Iterable) -> tuple[int, ...]:
-    """The values as a tuple; values that are not iterable, or one that is
-    not an int or is a bool, are refused."""
-    out = tuple(_iterable(values, "a node list"))
-    for x in out:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise DomainError(f"node {x!r} is not an integer")
-    return out
 
 
 def _nodes(mask: int) -> tuple[int, ...]:
@@ -213,14 +198,8 @@ def validate_gcm(matrix: Sequence[Sequence[int]],
     The symmetrizer is assigned along a spanning tree of each Dynkin-graph
     component and verified on the remaining edges, so the test is exact.
     """
-    rows = []
-    for r in matrix:
-        row = []
-        for v in r:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise DomainError(f"matrix entry {v!r} is not an integer")
-            row.append(v)
-        rows.append(tuple(row))
+    rows = [tuple(_count(v, "matrix entry") for v in _iterable(r, "a matrix row"))
+            for r in _iterable(matrix, "a matrix")]
     n = len(rows)
     if n < 1:
         raise DomainError("matrix must have at least one row")
@@ -265,7 +244,10 @@ def validate_gcm(matrix: Sequence[Sequence[int]],
     if labels is None:
         labels = tuple(str(i) for i in range(1, n + 1))
     else:
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(_iterable(labels, "a label list"))
+        for x in labels:
+            if not isinstance(x, str):
+                raise DomainError(f"label {x!r} is not a str")
         if len(labels) != n:
             raise DomainError(f"expected {n} labels, got {len(labels)}")
         if len(set(labels)) != n:

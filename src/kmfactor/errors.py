@@ -1,11 +1,18 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the one copy of each
+type check on a library argument.
 
 Every contract violation raises a subclass of :class:`DomainError`, so
 callers (notably the CLI) can distinguish bad domain input from malformed
-JSON (:class:`SchemaError`).
+JSON (:class:`SchemaError`).  :func:`_count` refuses a count, cap, node,
+pairing, matrix entry or partition size that is a ``bool`` or not an
+``int``; :func:`_coefficient` also lets a ``Fraction`` through, and
+:func:`_iterable` refuses a list that is not iterable.  Nothing is
+converted.  The CLI checks its JSON with its own helpers first.
 """
 
 import math
+from fractions import Fraction
+from typing import Iterable, Iterator
 
 
 def _number_text(value) -> str:
@@ -29,6 +36,36 @@ class SchemaError(ValueError):
         super().__init__(f"{pointer}: {reason}")
         self.pointer = pointer
         self.reason = reason
+
+
+def _count(value, what: str, least: int | None = None) -> int:
+    """An int, returned as given; a bool, any other type, or an int under
+    ``least`` when that is given, is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} {value!r} is not an int")
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be " + (f"at least {least}" if least else "nonnegative"))
+    return value
+
+
+def _coefficient(value, what: str = "coefficient") -> int | Fraction:
+    """An exact rational, returned as given; anything else is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise DomainError(f"{what} {value!r} is not an int or a Fraction")
+    return value
+
+
+def _iterable(values, what: str) -> Iterator:
+    """An iterator over the values; a non-iterable is refused."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise DomainError(f"{what} of type {type(values).__name__} is not iterable") from None
+
+
+def _node_ints(values: Iterable) -> tuple[int, ...]:
+    """The values as a tuple, each of them checked by :func:`_count`."""
+    return tuple(_count(x, "node") for x in _iterable(values, "a node list"))
 
 
 # -- Cartan matrix validation -------------------------------------------------

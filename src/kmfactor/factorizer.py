@@ -43,16 +43,17 @@ from .errors import (
     DomainError,
     LengthMismatch,
     NegativeLeadingCoefficient,
-    NoLift,
     NonzeroResidual,
     NotEquiconnectedCandidate,
     TermLimit,
     TooManyFactors,
+    _coefficient,
+    _count,
     _number_text,
 )
 from .folding import FoldContext, Partition, _folded_log_numerator, _lift_data
 from .numerators import log_numerator
-from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _coefficient, _packing, _Sum, support
+from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _packing, _Sum, support
 from .weyl import PVIndex, _full_index
 
 
@@ -184,10 +185,7 @@ def _folded_step(cm: CartanMatrix, partition: Partition, cap: int,
     if not cm._connected(nodes):
         raise NotEquiconnectedCandidate(
             f"class union {list(nodes)} of candidate {gamma} is disconnected")
-    try:
-        data = _lift_data(cm, partition, nodes)
-    except NoLift as exc:
-        raise NotEquiconnectedCandidate(str(exc)) from exc
+    data = _lift_data(cm, partition, nodes)
     if data.lean_counts is None:
         raise NotEquiconnectedCandidate(
             f"class union {list(nodes)} of candidate {gamma} is not equiconnected")
@@ -229,8 +227,7 @@ def recover_from_character_product(cm: CartanMatrix, product: Series,
     reported as the empty count; factors given with disconnected node sets
     come back as their connected components.
     """
-    if count < 0:
-        raise DomainError("factor count must be nonnegative")
+    _count(count, "factor count", 0)
     if product.nvars != cm.n:
         raise DomainError(f"series has {product.nvars} variables, matrix has {cm.n} nodes")
     cap = product.cap

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cartan import CartanMatrix, _Frozen, _iterable, _mask, _node_ints, _nodes
+from .cartan import CartanMatrix, _Frozen, _mask, _nodes
 from .errors import (
     DomainError,
     NoLift,
@@ -31,6 +31,9 @@ from .errors import (
     NotSymmetric,
     NoTransversal,
     SizeLimit,
+    _count,
+    _iterable,
+    _node_ints,
 )
 from .numerators import log_numerator
 from .series import _CACHE_SIZE, Series
@@ -46,8 +49,7 @@ class Partition(_Frozen):
     __slots__ = ("n", "classes")
 
     def __init__(self, n: int, classes: Iterable[Iterable[int]]):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise DomainError(f"partition size {n!r} is not a nonnegative integer")
+        _count(n, "partition size", 0)
         parts = sorted(tuple(sorted(_node_ints(p))) for p in _iterable(classes, "a class list"))
         if () in parts:
             raise DomainError("a class is empty")

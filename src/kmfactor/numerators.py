@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .cartan import CartanMatrix, _Frozen, _mask
-from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity, SizeLimit
+from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity, SizeLimit, _count
 from .series import _CACHE_SIZE, Series
 from .weyl import PVIndex, _full_index, normalized_numerator
 
@@ -139,8 +139,7 @@ def root_multiplicities(cm: CartanMatrix, cap: int) -> dict[tuple[int, ...], int
     key key(e)/k; k divides both the degree and the coordinate fields of
     key(e), and a quotient key that is a stored root is exactly e/k.
     """
-    if cap < 1:
-        raise DomainError("cap must be at least 1")
+    _count(cap, "cap", 1)
     log_full = log_numerator(cm, _full_index(cm), cap)
     terms, den, pack = log_full._terms, log_full._den, log_full._pack
     out: dict[int, int] = {}

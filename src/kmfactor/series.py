@@ -83,7 +83,8 @@ from itertools import repeat
 from operator import add, and_, mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapMismatch, ConstantTermNotOne, DomainError, TermLimit, _number_text
+from .errors import (CapMismatch, ConstantTermNotOne, DomainError, TermLimit, _coefficient,
+                     _count, _number_text)
 
 Exponent = tuple[int, ...]
 
@@ -112,31 +113,15 @@ def _check_exponent(exponent, nvars: int) -> Exponent:
     if len(exp) != nvars:
         raise DomainError(f"exponent {exp} has {len(exp)} coordinates, expected {nvars}")
     for e in exp:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise DomainError(f"exponent {exp} has a bad coordinate {e!r}")
+        if _count(e, "exponent coordinate") < 0:
+            raise DomainError(f"exponent {exp} has a negative coordinate {e}")
     return exp
-
-
-def _coefficient(value, what: str = "coefficient") -> int | Fraction:
-    """An exact rational, returned as given; anything else is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise DomainError(f"{what} {value!r} is not an int or a Fraction")
-    return value
-
-
-def _count(value, what: str) -> int:
-    """An int, returned as given; a bool or any other type is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{what} {value!r} is not an int")
-    return value
 
 
 def _check_shape(nvars, cap) -> None:
     """Refuse a variable count or cap that is not a nonnegative int."""
-    if _count(nvars, "nvars") < 0:
-        raise DomainError("nvars must be nonnegative")
-    if _count(cap, "cap") < 0:
-        raise DomainError("cap must be nonnegative")
+    _count(nvars, "nvars", 0)
+    _count(cap, "cap", 0)
 
 
 def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:

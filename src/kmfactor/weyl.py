@@ -17,8 +17,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .cartan import CartanMatrix, _Frozen
-from .errors import DomainError, NegativeIntegrability, TermLimit
-from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _count, _packing
+from .errors import DomainError, NegativeIntegrability, TermLimit, _count, _iterable, _node_ints
+from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _packing
 
 
 class PVIndex(_Frozen):
@@ -33,23 +33,21 @@ class PVIndex(_Frozen):
     __slots__ = ("nodes", "pairings")
 
     def __init__(self, nodes: Iterable[int], pairings: Iterable[int]):
-        nodes = tuple(nodes)
-        pairings = tuple(pairings)
+        nodes = _node_ints(nodes)
+        pairings = tuple(_iterable(pairings, "a pairing list"))
         if list(nodes) != sorted(set(nodes)):
             raise DomainError(f"node set {nodes} is not strictly increasing")
         if len(pairings) != len(nodes):
             raise DomainError(
                 f"{len(pairings)} pairings given for {len(nodes)} nodes")
         for i, p in zip(nodes, pairings):
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise DomainError(f"pairing at node {i} is not an integer")
-            if p < 0:
+            if _count(p, "pairing") < 0:
                 raise NegativeIntegrability(f"pairing at node {i} is {p} < 0")
         super().__init__(nodes, pairings)
 
     @classmethod
     def from_map(cls, nodes: Iterable[int], lam: Mapping[int, int]) -> "PVIndex":
-        I = tuple(sorted(set(nodes)))
+        I = tuple(sorted(set(_node_ints(nodes))))
         if set(lam) != set(I):
             raise DomainError(
                 f"pairing keys {sorted(lam)} do not match node set {list(I)}")
@@ -99,8 +97,7 @@ def orbit_terms(cm: CartanMatrix, nodes: Iterable[int],
 
 def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> dict[int, int]:
     """The orbit of :func:`orbit_terms` as a map from packed offset keys to signs."""
-    if _count(cap, "cap") < 0:
-        raise DomainError("cap must be nonnegative")
+    _count(cap, "cap", 0)
     I = cm.check_nodes(pv.nodes)
     pack = _packing(cm.n, cap)
     # reflecting at node j moves the value at i by entry(i, j) and, packing

@@ -67,6 +67,16 @@ def test_non_square_and_bad_entries():
         validate_gcm([[2.0]])
 
 
+def test_validate_gcm_refuses_instead_of_converting():
+    for matrix in (5, [5], [[2, True]], [[2, -1], [-1, 2.0]]):
+        with pytest.raises(DomainError, match="is not iterable$|is not an int$"):
+            validate_gcm(matrix)
+    # a label that is not a str was converted with str: [1] gave the label "1"
+    for labels in ([1], [b"a"], 5):
+        with pytest.raises(DomainError, match="is not a str$|is not iterable$"):
+            validate_gcm([[2]], labels)
+
+
 def test_custom_labels():
     cm = validate_gcm([[2, -1], [-1, 2]], labels=["a", "b"])
     assert cm.label(2) == "b"

@@ -206,6 +206,17 @@ def test_product_disconnected_comes_back_as_components(a3):
         recover_from_character_product(a3, character(a3, pv, None, 6).body, 1)
 
 
+@pytest.mark.parametrize("count", [None, True, Fraction(2), Fraction(5, 2)])
+def test_product_count_must_be_an_int(a2, count):
+    # each was a TypeError, a refusal after the whole log, a Fraction empty
+    # count or a NonzeroResidual; now the count is checked before any work
+    body = character(a2, PVIndex((1, 2), (0, 0)), None, 6).body
+    with mock.patch.object(Series, "log1", side_effect=AssertionError("log taken")):
+        with pytest.raises(DomainError, match="^factor count .* is not an int$") as caught:
+            recover_from_character_product(a2, body, count)
+    assert type(caught.value) is DomainError
+
+
 # -- folded peeling ----------------------------------------------------------------
 
 def test_folded_figure1_roundtrip():

@@ -609,6 +609,24 @@ def test_no_assert_in_the_package():
         assert lines == [], name
 
 
+def test_one_module_checks_the_ints():
+    # an int that is not a bool is decided by errors._count alone; the CLI
+    # checks its JSON with helpers of its own, which raise SchemaError
+    package = os.path.dirname(series_module.__file__)
+    helpers = {"_count", "_coefficient", "_iterable", "_node_ints"}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name in ("errors.py", "cli.py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        checks = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))]
+        copies = [node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name in helpers]
+        assert (checks, copies) == ([], []), name
+
+
 def test_tracer_installs():
     # perfbench/tracer.py patches Series and FoldContext methods by name, so
     # removing or inheriting one of them breaks the traced benchmark run

@@ -131,6 +131,14 @@ def test_pvindex_normalizes_and_checks():
         PVIndex([1, 1], [0, 0])
     with pytest.raises(DomainError):
         PVIndex([1], [True])
+    # a node that is not an int, or nodes or pairings that are not iterable,
+    # are refused before the nodes are sorted; "ab" is not read as two nodes
+    for nodes, pairings in (("ab", (0, 0)), ((1.5,), (0,)), ((1, "a"), (0, 0)),
+                            (5, ()), ((1,), 5)):
+        with pytest.raises(DomainError, match="is not an int$|is not iterable$"):
+            PVIndex(nodes, pairings)
+    with pytest.raises(DomainError, match="^node 'a' is not an int$"):
+        PVIndex.from_map((1, "a"), {1: 0, "a": 0})
 
 
 def test_cartan_matrix_hash_follows_rows_and_labels():
