@@ -20,7 +20,7 @@ from .errors import (
     ZeroPatternAsymmetric,
     _count,
     _iterable,
-    _node_ints,
+    _node,
 )
 
 
@@ -139,10 +139,10 @@ class CartanMatrix(_Frozen):
         return tuple(range(1, self.n + 1))
 
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
+        return self.rows[_node(i, self.n) - 1][_node(j, self.n) - 1]
 
     def label(self, i: int) -> str:
-        return self.labels[i - 1]
+        return self.labels[_node(i, self.n) - 1]
 
     def node_of_label(self, label: str) -> int:
         try:
@@ -151,15 +151,13 @@ class CartanMatrix(_Frozen):
             raise DomainError(f"unknown node label {label!r}") from None
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return _nodes(self._adjacency[i - 1])
+        return _nodes(self._adjacency[_node(i, self.n) - 1])
 
     def check_nodes(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Validate a node set and return it as a sorted tuple."""
         seen: set[int] = set()
-        for x in _node_ints(nodes):
-            if not 1 <= x <= self.n:
-                raise DomainError(f"node {x} out of range 1..{self.n}")
-            if x in seen:
+        for x in _iterable(nodes, "a node list"):
+            if _node(x, self.n) in seen:
                 raise DomainError(f"node {x} listed twice")
             seen.add(x)
         return tuple(sorted(seen))

@@ -20,11 +20,11 @@ same folded computation.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .cartan import CartanMatrix, validate_gcm
 from .errors import CapTooSmall, DomainError, SchemaError, _number_text
@@ -41,7 +41,7 @@ from .numerators import (
     marker_exponent,
     root_multiplicities,
 )
-from .series import Series, _reduce, _Sum
+from .series import Series, _sum_of
 from .weyl import PVIndex, normalized_numerator
 
 
@@ -98,25 +98,23 @@ def _fraction(value, pointer) -> Fraction:
     raise SchemaError(pointer, f"rational of up to {digits} digits is out of range")
 
 
-def _parse_gcm(payload, pointer="") -> CartanMatrix:
-    block = _object(_field(_object(payload, pointer or "/"), "gcm", pointer), f"{pointer}/gcm")
-    matrix = _array(_field(block, "matrix", f"{pointer}/gcm"), f"{pointer}/gcm/matrix")
+def _parse_gcm(payload) -> CartanMatrix:
+    block = _object(_field(_object(payload, "/"), "gcm", ""), "/gcm")
+    matrix = _array(_field(block, "matrix", "/gcm"), "/gcm/matrix")
     rows = []
     for i, row in enumerate(matrix):
-        row = _array(row, f"{pointer}/gcm/matrix/{i}")
-        rows.append([_integer(v, f"{pointer}/gcm/matrix/{i}/{j}")
-                     for j, v in enumerate(row)])
+        row = _array(row, f"/gcm/matrix/{i}")
+        rows.append([_integer(v, f"/gcm/matrix/{i}/{j}") for j, v in enumerate(row)])
     labels = block.get("labels")
     if labels is not None:
-        labels = _array(labels, f"{pointer}/gcm/labels")
+        labels = _array(labels, "/gcm/labels")
         if len(labels) != len(rows):
-            raise SchemaError(f"{pointer}/gcm/labels",
-                              f"expected {len(rows)} labels, got {len(labels)}")
+            raise SchemaError("/gcm/labels", f"expected {len(rows)} labels, got {len(labels)}")
         for i, lab in enumerate(labels):
             if not isinstance(lab, str):
-                raise SchemaError(f"{pointer}/gcm/labels/{i}", "expected a string")
+                raise SchemaError(f"/gcm/labels/{i}", "expected a string")
             if lab in labels[:i]:
-                raise SchemaError(f"{pointer}/gcm/labels/{i}", f"label {lab!r} is repeated")
+                raise SchemaError(f"/gcm/labels/{i}", f"label {lab!r} is repeated")
     return validate_gcm(rows, labels)
 
 
@@ -156,22 +154,21 @@ def _parse_index(cm, obj, pointer) -> PVIndex:
     return PVIndex.from_map(nodes, lam)
 
 
-def _parse_partition(cm, payload, pointer="") -> Partition:
-    payload = _object(payload, pointer or "/")
+def _parse_partition(cm, payload) -> Partition:
+    payload = _object(payload, "/")
     if "classes" in payload:
-        classes = _array(payload["classes"], f"{pointer}/classes")
-        parsed = [_parse_nodes(cm, part, f"{pointer}/classes/{i}")
-                  for i, part in enumerate(classes)]
+        classes = _array(payload["classes"], "/classes")
+        parsed = [_parse_nodes(cm, part, f"/classes/{i}") for i, part in enumerate(classes)]
         try:
             return Partition.of(cm.n, parsed)
         except DomainError as exc:
-            raise SchemaError(f"{pointer}/classes", str(exc)) from None
+            raise SchemaError("/classes", str(exc)) from None
     if "automorphisms" in payload:
-        perms = _array(payload["automorphisms"], f"{pointer}/automorphisms")
+        perms = _array(payload["automorphisms"], "/automorphisms")
         # orbit_partition checks each generator as it is parsed, in order
-        return orbit_partition(cm, (_parse_nodes(cm, perm, f"{pointer}/automorphisms/{i}")
+        return orbit_partition(cm, (_parse_nodes(cm, perm, f"/automorphisms/{i}")
                                     for i, perm in enumerate(perms)))
-    raise SchemaError(pointer or "/", "expected 'classes' or 'automorphisms'")
+    raise SchemaError("/", "expected 'classes' or 'automorphisms'")
 
 
 def _parse_series(payload, nvars, cap, pointer) -> Series:
@@ -193,11 +190,8 @@ def _parse_series(payload, nvars, cap, pointer) -> Series:
 
 
 def _degree_of(args, payload) -> int:
-    if args.degree is not None:
-        return _integer(args.degree, "/degree", minimum=0)
-    if "degree" not in payload:
-        raise SchemaError("/degree", "required field is missing")
-    return _integer(payload["degree"], "/degree", minimum=0)
+    degree = args.degree if args.degree is not None else _field(payload, "degree", "")
+    return _integer(degree, "/degree", minimum=0)
 
 
 # -- output helpers -------------------------------------------------------------
@@ -227,11 +221,13 @@ def _result_doc(cm, result) -> dict:
     }
 
 
-def _require_marker_fits(cm, pv, cap):
-    deg = sum(marker_exponent(cm, pv))
-    if deg > cap:
+def _log_term(cm, entry, pointer, cap, marker, term) -> Series:
+    """An entry's log-numerator ``term``, once its ``marker`` fits the cap."""
+    pv = _parse_index(cm, entry, pointer)
+    if (deg := sum(marker(pv))) > cap:
         raise CapTooSmall(
             f"marker exponent of {_factor_doc(cm, pv)} has degree {deg} > cap {cap}")
+    return term(pv, cap)
 
 
 # -- command handlers -----------------------------------------------------------
@@ -315,19 +311,14 @@ def _cmd_factor(args, payload, folded=False):
     cap = _degree_of(args, payload)
     if folded:
         ctx = FoldContext(cm, _parse_partition(cm, payload))
-        nvars, term = ctx.partition.num_classes, ctx.fold_log_numerator
+        nvars, marker, term = (ctx.partition.num_classes, ctx.marker_exponent,
+                               ctx.fold_log_numerator)
     else:
-        nvars, term = cm.n, functools.partial(log_numerator, cm)
+        nvars, marker, term = cm.n, partial(marker_exponent, cm), partial(log_numerator, cm)
     if "log_sum_of" in payload:
         entries = _array(payload["log_sum_of"], "/log_sum_of")
-        acc = _Sum(Series.zero(nvars, cap))  # summed in place, not copied per entry
-        for i, entry in enumerate(entries):
-            pv = _parse_index(cm, entry, f"/log_sum_of/{i}")
-            if folded:
-                ctx.check_symmetric(pv)
-            _require_marker_fits(cm, pv, cap)
-            acc.add(term(pv, cap), 1)
-        total = Series._new(nvars, cap, *_reduce(acc.terms, acc.den))
+        total = _sum_of(nvars, cap, (_log_term(cm, entry, f"/log_sum_of/{i}", cap, marker, term)
+                                     for i, entry in enumerate(entries)))
     elif "series" in payload:
         total = _parse_series(payload["series"], nvars, cap, "/series")
     else:
@@ -371,7 +362,7 @@ def _cmd_selftest(args, payload):
 _COMMANDS = {
     "validate": _cmd_validate,
     "numerator": _cmd_numerator,
-    "logseries": functools.partial(_cmd_numerator, log=True),
+    "logseries": partial(_cmd_numerator, log=True),
     "character": _cmd_character,
     "multiplicities": _cmd_multiplicities,
     "leading-coeff": _cmd_leading_coeff,
@@ -379,7 +370,7 @@ _COMMANDS = {
     "transversal": _cmd_transversal,
     "lean-lifts": _cmd_lean_lifts,
     "factor": _cmd_factor,
-    "factor-folded": functools.partial(_cmd_factor, folded=True),
+    "factor-folded": partial(_cmd_factor, folded=True),
     "verify": _cmd_verify,
     "selftest": _cmd_selftest,
 }

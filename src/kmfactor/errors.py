@@ -5,9 +5,10 @@ Every contract violation raises a subclass of :class:`DomainError`, so
 callers (notably the CLI) can distinguish bad domain input from malformed
 JSON (:class:`SchemaError`).  :func:`_count` refuses a count, cap, node,
 pairing, matrix entry or partition size that is a ``bool`` or not an
-``int``; :func:`_coefficient` also lets a ``Fraction`` through, and
-:func:`_iterable` refuses a list that is not iterable.  Nothing is
-converted.  The CLI checks its JSON with its own helpers first.
+``int``; :func:`_node` also refuses a node outside 1..n,
+:func:`_coefficient` lets a ``Fraction`` through, and :func:`_iterable`
+refuses a list that is not iterable.  Nothing is converted.  The CLI
+checks its JSON with its own helpers first.
 """
 
 import math
@@ -45,6 +46,13 @@ def _count(value, what: str, least: int | None = None) -> int:
         raise DomainError(f"{what} {value!r} is not an int")
     if least is not None and value < least:
         raise DomainError(f"{what} must be " + (f"at least {least}" if least else "nonnegative"))
+    return value
+
+
+def _node(value, n: int) -> int:
+    """A node of 1..n, returned as given; anything else is refused."""
+    if not 1 <= _count(value, "node") <= n:
+        raise DomainError(f"node {_number_text(value)} out of range 1..{n}")
     return value
 
 

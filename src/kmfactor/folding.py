@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cartan import CartanMatrix, _Frozen, _mask, _nodes
+from .cartan import CartanMatrix, _Frozen, _mask, _nodes, connected_components
 from .errors import (
     DomainError,
     NoLift,
@@ -33,6 +33,7 @@ from .errors import (
     SizeLimit,
     _count,
     _iterable,
+    _node,
     _node_ints,
 )
 from .numerators import log_numerator
@@ -68,10 +69,8 @@ class Partition(_Frozen):
 
     def class_index(self, node: int) -> int:
         """0-based position of the class containing the node."""
-        for c, part in enumerate(self.classes):
-            if node in part:
-                return c
-        raise DomainError(f"node {node} out of range 1..{self.n}")
+        _node(node, self.n)
+        return next(c for c, part in enumerate(self.classes) if node in part)
 
 
 class DiagramAutomorphism(_Frozen):
@@ -86,7 +85,7 @@ class DiagramAutomorphism(_Frozen):
         super().__init__(images)
 
     def apply(self, node: int) -> int:
-        return self.images[node - 1]
+        return self.images[_node(node, len(self.images)) - 1]
 
 
 def check_automorphism(cm: CartanMatrix, perm: Sequence[int]) -> DiagramAutomorphism:
@@ -95,9 +94,11 @@ def check_automorphism(cm: CartanMatrix, perm: Sequence[int]) -> DiagramAutomorp
     if len(images) != cm.n:
         raise DomainError(f"{list(images)} is not a permutation of 1..{cm.n}")
     auto = DiagramAutomorphism(images)
-    for i in cm.nodes():
-        for j in cm.nodes():
-            if cm.entry(images[i - 1], images[j - 1]) != cm.entry(i, j):
+    rows = cm.rows
+    for i, row in enumerate(rows, start=1):
+        image = rows[images[i - 1] - 1]
+        for j, value in enumerate(row, start=1):
+            if image[images[j - 1] - 1] != value:
                 raise NotCompatible(
                     f"entry ({i},{j}) is not preserved by the permutation")
     return auto
@@ -122,8 +123,8 @@ def orbit_partition(cm: CartanMatrix,
 
     for gen in gens:
         gen = check_automorphism(cm, gen.images if isinstance(gen, DiagramAutomorphism) else gen)
-        for i in cm.nodes():
-            ri, rj = find(i), find(gen.apply(i))
+        for i, image in enumerate(gen.images, start=1):
+            ri, rj = find(i), find(image)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
@@ -210,21 +211,20 @@ class FoldContext(_Frozen):
                     f"pairings differ on the class {list(part)}")
 
     def marker_exponent(self, pv: PVIndex) -> tuple[int, ...]:
-        """Folded marker of a symmetric index on an equiconnected class union.
-
-        Coordinate at a class of the index: lean-lift count times
-        (pairing + 1).  Lean lifts share their counts, so the result does
-        not depend on which one is used.
-        """
+        """Folded marker of a symmetric index, where :func:`peel_folded` reads
+        it: at each class, lean-lift count times (pairing + 1).  Lean lifts
+        share their counts, so no choice of one matters.  Like the plain
+        marker, it sums over the connected parts of the index, each an
+        equiconnected class union; the empty index has the zero marker."""
         self.check_symmetric(pv)
-        data = self.lift_data(pv.nodes)
-        if data.lean_counts is None:
-            raise NotEquiconnected(f"{list(pv.nodes)} is not equiconnected")
-        lam = pv.as_map()
-        out = [0] * self.partition.num_classes
-        for c, count in zip(data.class_indices, data.lean_counts):
-            node = self.partition.classes[c][0]
-            out[c] = count * (lam[node] + 1)
+        lam, classes = pv.as_map(), self.partition.classes
+        out = [0] * len(classes)
+        for part in connected_components(self.cm, pv.nodes):
+            data = self.lift_data(part)
+            if data.lean_counts is None:
+                raise NotEquiconnected(f"{list(part)} is not equiconnected")
+            for c, count in zip(data.class_indices, data.lean_counts):
+                out[c] = count * (lam[classes[c][0]] + 1)
         return tuple(out)
 
     # -- series ------------------------------------------------------------

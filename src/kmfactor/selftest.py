@@ -15,7 +15,7 @@ from .cartan import CartanMatrix, validate_gcm
 from .errors import NotSymmetrizable
 from .factorizer import peel_log_sum
 from .numerators import log_numerator, marker_exponent
-from .series import Series, _reduce, _Sum
+from .series import _sum_of
 from .weyl import PVIndex
 
 _MARGIN = 2  # degrees of the round-trip cap above the largest marker
@@ -63,10 +63,7 @@ def random_factors(rng: random.Random, cm: CartanMatrix,
 def round_trip(cm: CartanMatrix, factors: list[PVIndex]) -> bool:
     """Forward-compute the log sum, peel it, and compare multisets exactly."""
     cap = max(sum(marker_exponent(cm, pv)) for pv in factors) + _MARGIN
-    acc = _Sum(Series.zero(cm.n, cap))  # summed in place, not copied per factor
-    for pv in factors:
-        acc.add(log_numerator(cm, pv, cap), 1)
-    result = peel_log_sum(cm, Series._new(cm.n, cap, *_reduce(acc.terms, acc.den)))
+    result = peel_log_sum(cm, _sum_of(cm.n, cap, (log_numerator(cm, pv, cap) for pv in factors)))
     return (result.residual_zero
             and Counter(result.factors) == Counter(factors))
 

@@ -80,11 +80,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
-from operator import add, and_, mul, or_
+from operator import add, and_, lshift, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (CapMismatch, ConstantTermNotOne, DomainError, TermLimit, _coefficient,
-                     _count, _number_text)
+                     _count, _iterable, _number_text)
 
 Exponent = tuple[int, ...]
 
@@ -109,7 +109,7 @@ def support(exponent: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_exponent(exponent, nvars: int) -> Exponent:
-    exp = tuple(exponent)
+    exp = tuple(_iterable(exponent, "an exponent"))
     if len(exp) != nvars:
         raise DomainError(f"exponent {exp} has {len(exp)} coordinates, expected {nvars}")
     for e in exp:
@@ -135,23 +135,30 @@ def _reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 
 
 class _Packing:
-    """Key layout of the exponents of one (nvars, cap); see the module doc."""
+    """Key layout of the exponents of one (nvars, cap); see the module doc.
 
-    __slots__ = ("shift", "shifts", "weights", "mask", "lex", "low", "guards")
+    It keeps O(nvars) state: one small shift per coordinate and a few masks
+    of b*nvars bits.  The key of a unit exponent is computed where it is
+    needed, so a layout of many variables costs no table of keys."""
+
+    __slots__ = ("shift", "shifts", "mask", "lex", "low", "guards")
 
     def __init__(self, nvars: int, cap: int):
         bits = cap.bit_length() + 1
         self.shift = bits * nvars                       # the degree digit starts here
         self.shifts = [bits * (nvars - 1 - i) for i in range(nvars)]
-        self.weights = [(1 << self.shift) + (1 << s) for s in self.shifts]
         self.mask = (1 << bits) - 1
         self.lex = (1 << self.shift) - 1                # all coordinate fields
-        ones = sum(1 << s for s in self.shifts)
+        ones = self.lex // self.mask                    # the lowest bit of every field
         self.low = ones * ((1 << (bits - 1)) - 1)
         self.guards = ones << (bits - 1)
 
+    def unit(self, i: int) -> int:
+        """The key of the unit exponent at the 0-based coordinate i."""
+        return (1 << self.shift) + (1 << self.shifts[i])
+
     def key(self, exponent: Sequence[int]) -> int:
-        return sum(map(mul, exponent, self.weights))
+        return (sum(exponent) << self.shift) + sum(map(lshift, exponent, self.shifts))
 
     def exponent(self, key: int) -> Exponent:
         mask = self.mask
@@ -213,6 +220,14 @@ class _Sum:
                 terms[key] = acc
             else:
                 del terms[key]
+
+
+def _sum_of(nvars: int, cap: int, parts: Iterable["Series"]) -> "Series":
+    """The sum of series of one shape, each added in place to one ``_Sum``."""
+    total = _Sum(Series.zero(nvars, cap))
+    for part in parts:
+        total.add(part, 1)
+    return Series._new(nvars, cap, *_reduce(total.terms, total.den))
 
 
 class Series:
@@ -494,10 +509,10 @@ class Series:
             raise DomainError(
                 f"partition covers 1..{partition.n}, series has {self.nvars} variables")
         parts = partition.classes
-        weights = _packing(len(parts), self.cap).weights
+        unit = _packing(len(parts), self.cap).unit
         pack = self._pack
-        # packing is linear, so coordinate i moves to the weight of its class
-        digits = [(pack.shifts[i - 1], weights[c]) for c, p in enumerate(parts) for i in p]
+        # packing is linear, so coordinate i moves to the unit key of its class
+        digits = [(pack.shifts[i - 1], unit(c)) for c, p in enumerate(parts) for i in p]
         mask = pack.mask
         out: dict[int, int] = {}
         for key, n in self._terms.items():

@@ -17,7 +17,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .cartan import CartanMatrix, _Frozen
-from .errors import DomainError, NegativeIntegrability, TermLimit, _count, _iterable, _node_ints
+from .errors import (DomainError, NegativeIntegrability, TermLimit, _count, _iterable,
+                     _node_ints, _number_text)
 from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _packing
 
 
@@ -47,15 +48,21 @@ class PVIndex(_Frozen):
 
     @classmethod
     def from_map(cls, nodes: Iterable[int], lam: Mapping[int, int]) -> "PVIndex":
-        I = tuple(sorted(set(_node_ints(nodes))))
+        """The index of the nodes, in any order, with the pairing ``lam[i]`` at
+        node i; a repeated node, or a ``lam`` that is no mapping of exactly
+        the nodes, is refused."""
+        I = tuple(sorted(_node_ints(nodes)))
+        if not isinstance(lam, Mapping):
+            raise DomainError(f"pairings of type {type(lam).__name__} are not a mapping")
         if set(lam) != set(I):
             raise DomainError(
                 f"pairing keys {sorted(lam)} do not match node set {list(I)}")
         return cls(I, tuple(lam[i] for i in I))
 
     def pairing(self, i: int) -> int:
-        if i not in self.nodes:
-            raise DomainError(f"node {i!r} is not in the node set {list(self.nodes)}")
+        if _count(i, "node") not in self.nodes:
+            raise DomainError(
+                f"node {_number_text(i)} is not in the node set {list(self.nodes)}")
         return self.pairings[self.nodes.index(i)]
 
     def as_map(self) -> dict[int, int]:
@@ -101,8 +108,9 @@ def _orbit(cm: CartanMatrix, pv: PVIndex, cap: int) -> dict[int, int]:
     I = cm.check_nodes(pv.nodes)
     pack = _packing(cm.n, cap)
     # reflecting at node j moves the value at i by entry(i, j) and, packing
-    # being linear, adds the weight of coordinate j to the key, each times v
-    moves = [(pack.weights[j - 1], tuple(cm.entry(i, j) for i in I)) for j in I]
+    # being linear, adds the unit key of coordinate j to the key, each times v
+    rows = cm.rows
+    moves = [(pack.unit(j - 1), tuple(rows[i - 1][j - 1] for i in I)) for j in I]
     limit = (cap + 1) << pack.shift  # the least key over the cap
     start = tuple(p + 1 for p in pv.pairings)
     signs = {0: 1}  # every key seen so far

@@ -139,6 +139,18 @@ def test_node_validation(a2):
         connected_components(a2, (1, 1))
 
 
+def test_node_accessors_refuse_what_is_not_a_node(a2):
+    # a raw index read 0 as the last node, True as node 1, and ended in an
+    # IndexError past the end; a node too long to print is named by its size
+    for bad in (0, 3, -1, True, False, 1.0, "1", None, 10**30, 10**5000):
+        for read in (lambda: a2.entry(bad, 1), lambda: a2.entry(1, bad),
+                     lambda: a2.entry(True, 10**30), lambda: a2.label(bad),
+                     lambda: a2.neighbors(bad), lambda: a2.check_nodes([bad])):
+            with pytest.raises(DomainError):
+                read()
+    assert a2.entry(1, 2) == -1 and a2.label(2) == "2" and a2.neighbors(1) == (2,)
+
+
 def test_components_partition_and_maximality():
     rng = random.Random(11)
     for _ in range(25):

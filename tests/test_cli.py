@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from catalog import MATRICES
-from kmfactor import PVIndex, Series, cli, log_numerator, selftest, validate_gcm
+from kmfactor import (FoldContext, Partition, PVIndex, Series, cli, log_numerator,
+                      orbit_partition, selftest, validate_gcm)
 from kmfactor import series as series_module
 from kmfactor.cli import _COMMANDS, main
 from kmfactor.errors import DomainError
+from test_folding import FIGURE1_CLASSES, FIGURE2_CLASSES, figure1, figure2
 
 A2 = {"matrix": [[2, -1], [-1, 2]]}
 A3 = {"matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}
@@ -190,6 +193,101 @@ def test_round_trip_sums_in_place(monkeypatch):
                             Series.zero(cm.n, cap))
 
 
+def test_cli_and_selftest_sum_through_the_series_helper():
+    # both build their in-place sums with series._sum_of, not from the
+    # stored form of a series
+    package = os.path.dirname(cli.__file__)
+    for name in ("cli.py", "selftest.py"):
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        built = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "_new"
+                 and getattr(node.value, "id", None) == "Series"]
+        assert (names & {"_Sum", "_reduce"}, built) == (set(), []), name
+        assert "_sum_of" in names, name
+
+
+def _cycle(n):
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = -1
+    return rows
+
+
+# folded fixtures: a matrix, its partition in the input schema, the pairings
+# of one symmetric, equiconnected full-set entry, and its folded marker degree
+FOLDED = {
+    "A3-flip": (A3["matrix"], {"automorphisms": [[3, 2, 1]]}, [1, 0, 1], 3),
+    "figure1": ([list(row) for row in figure1().rows], {"classes": FIGURE1_CLASSES},
+                [0] * 5, 4),
+    "A3aff-flip": (A3AFF["matrix"], {"automorphisms": [[1, 4, 3, 2]]}, [0, 1, 2, 1], 6),
+    "A7aff-rotation": (_cycle(8), {"automorphisms": [list(range(2, 9)) + [1]]}, [0] * 8, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_factor_folded_cap_is_the_folded_marker_degree(capsys, tmp_path, name):
+    """An entry fits when the folded marker, where the peel reads it, fits:
+    the plain marker's degree (5, 5, 8 and 8 here) is not the bound."""
+    rows, partition, pairings, degree = FOLDED[name]
+    cm = validate_gcm(rows)
+    ctx = FoldContext(cm, Partition.of(cm.n, partition["classes"]) if "classes" in partition
+                      else orbit_partition(cm, partition["automorphisms"]))
+    pv = PVIndex(cm.nodes(), pairings)
+    assert sum(ctx.marker_exponent(pv)) == degree < sum(pairings) + cm.n
+    entry = {"I": list(cm.nodes()), "lam": {str(i): p for i, p in zip(cm.nodes(), pairings)}}
+    payload = {"gcm": {"matrix": rows}, "log_sum_of": [entry], **partition}
+    code, out = run(capsys, tmp_path, "factor-folded", payload, "--degree", str(degree))
+    assert code == 0
+    assert json.loads(out)["factors"] == [{"I": list(map(str, cm.nodes())), "lam": entry["lam"]}]
+    code, out = run(capsys, tmp_path, "factor-folded", payload, "--degree", str(degree - 1))
+    error = json.loads(out)["error"]
+    assert code == 1 and error["type"] == "CapTooSmall"
+    assert error["message"].endswith(f"has degree {degree} > cap {degree - 1}")
+
+
+def test_factor_folded_refuses_before_any_series(monkeypatch, capsys, tmp_path):
+    """An entry that is not equiconnected, or that cuts a class, is refused by
+    the folding layer's own error, before any logarithm is taken."""
+    logs = []
+    log1 = Series.log1
+    monkeypatch.setattr(Series, "log1", lambda self: logs.append(self) or log1(self))
+    # fresh labels: no cached log-numerator could hide a log1 call
+    fig2 = {"matrix": [list(row) for row in figure2().rows],
+            "labels": [f"refuse{i}" for i in range(1, 10)]}
+    payload = {"gcm": fig2, "degree": 12, "classes": FIGURE2_CLASSES, "log_sum_of": [
+        {"I": fig2["labels"], "lam": dict.fromkeys(fig2["labels"], 0)}]}
+    code, out = run(capsys, tmp_path, "factor-folded", payload)
+    assert code == 1 and json.loads(out)["error"] == {
+        "type": "NotEquiconnected", "message": "[1, 2, 3, 4, 5, 6, 7, 8, 9] is not equiconnected"}
+    a3 = {"matrix": A3["matrix"], "labels": ["refuse-a", "refuse-b", "refuse-c"]}
+    payload = {"gcm": a3, "degree": 6, "automorphisms": [[3, 2, 1]],
+               "log_sum_of": [{"I": [1, 2], "lam": {"refuse-a": 0, "refuse-b": 0}}]}
+    code, out = run(capsys, tmp_path, "factor-folded", payload)
+    assert code == 1 and json.loads(out)["error"] == {
+        "type": "NotClassUnion", "message": "[1, 2] cuts the class [1, 3]"}
+    assert logs == []
+
+
+def test_factor_folded_entries_accepted_as_on_the_plain_side(capsys, tmp_path):
+    # an empty entry adds nothing, and a disconnected one comes back as its
+    # connected parts, as on the plain side
+    payload = {"gcm": A3, "degree": 6, "classes": [[1], [2], [3]], "log_sum_of": [
+        {"I": [], "lam": {}}, {"I": [1, 3], "lam": {"1": 0, "3": 1}}]}
+    for command in ("factor", "factor-folded"):
+        code, out = run(capsys, tmp_path, command, payload)
+        assert code == 0, command
+        assert json.loads(out)["factors"] == [{"I": ["1"], "lam": {"1": 0}},
+                                              {"I": ["3"], "lam": {"3": 1}}]
+    payload = {"gcm": A3, "degree": 6, "automorphisms": [[3, 2, 1]],
+               "log_sum_of": [{"I": [], "lam": {}}]}
+    code, out = run(capsys, tmp_path, "factor-folded", payload)
+    assert code == 0 and json.loads(out)["factors"] == []
+
+
 def test_factor_series_input(capsys, tmp_path):
     payload = {"gcm": {"matrix": [[2]]}, "degree": 4, "series": {
         "terms": [[[1], "1"], [[2], "1/2"], [[3], "1/3"], [[4], "1/4"]]}}
@@ -237,7 +335,8 @@ def test_factor_folded_rejects_asymmetric(capsys, tmp_path):
                "log_sum_of": [{"I": [1, 2, 3], "lam": {"1": 1, "2": 0, "3": 0}}]}
     code, out = run(capsys, tmp_path, "factor-folded", payload)
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "NotSymmetric"
+    assert json.loads(out)["error"] == {
+        "type": "NotSymmetric", "message": "pairings differ on the class [1, 3]"}
 
 
 def test_verify(capsys, tmp_path):
@@ -285,6 +384,29 @@ def test_schema_error_pointers(capsys, tmp_path):
         doc = json.loads(out)
         assert doc["error"]["type"] == "SchemaError"
         assert doc["error"]["pointer"] == pointer
+
+
+def test_schema_errors_of_every_helper(capsys, tmp_path):
+    cases = [
+        ({"gcm": A2, "degree": -1}, "multiplicities", (), "/degree",
+         "expected an integer >= 0"),
+        ({"gcm": A2}, "multiplicities", ("--degree", "-1"), "/degree",
+         "expected an integer >= 0"),
+        ({"gcm": A2}, "multiplicities", (), "/degree", "required field is missing"),
+        ({"gcm": {**A2, "labels": ["a", 3]}}, "validate", (), "/gcm/labels/1",
+         "expected a string"),
+        ({"gcm": A2, "I": [1.5]}, "leading-coeff", (), "/I/0",
+         "expected a node label or 1-based position"),
+        ({"gcm": A2, "degree": 3, "series": {"terms": [[[1, 0]]]}}, "factor", (),
+         "/series/terms/0", "expected [exponent, coefficient]"),
+        ({"gcm": A2, "classes": 1}, "orbits", (), "/classes", "expected an array"),
+        ({"gcm": A2}, "orbits", (), "/", "expected 'classes' or 'automorphisms'"),
+    ]
+    for payload, command, extra, pointer, message in cases:
+        code, out = run(capsys, tmp_path, command, payload, *extra)
+        assert code == 2, (command, out)
+        assert json.loads(out)["error"] == {
+            "type": "SchemaError", "pointer": pointer, "message": message}
 
 
 def test_label_errors_name_the_label(capsys, tmp_path):

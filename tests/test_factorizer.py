@@ -45,7 +45,7 @@ from oracles import (
     naive_plain_decoder,
     naive_select_candidate,
 )
-from test_folding import FIGURE1_CLASSES, figure1
+from test_folding import FIGURE1_CLASSES, FIGURE2_CLASSES, figure1, figure2
 from test_series import WIDE_SHAPES, wide_key_series, wide_variables
 from kmfactor.folding import Partition
 
@@ -261,6 +261,24 @@ def test_folded_disconnected_class_union_rejected(a3):
     ctxf = FoldContext(f1, Partition.of(5, FIGURE1_CLASSES))
     with pytest.raises(NotEquiconnectedCandidate):
         peel_folded(ctxf, Series.monomial(4, 4, (0, 0, 0, 1)))
+
+
+def test_folded_connected_class_union_not_equiconnected():
+    # every class of figure 2 is met: the union is the whole path, which is
+    # connected, but its two minimal lifts cut the classes differently
+    ctx = FoldContext(figure2(), Partition.of(9, FIGURE2_CLASSES))
+    with pytest.raises(NotEquiconnectedCandidate, match="is not equiconnected"):
+        peel_folded(ctx, Series.monomial(4, 9, (1, 1, 2, 1)))
+
+
+def test_peels_refuse_a_series_of_the_wrong_size(a2):
+    with pytest.raises(DomainError, match="series has 3 variables, matrix has 2 nodes"):
+        peel_log_sum(a2, Series.zero(3, 4))
+    with pytest.raises(DomainError, match="series has 1 variables, matrix has 2 nodes"):
+        recover_from_character_product(a2, Series.one(1, 4), 1)
+    ctx = FoldContext(a2, orbit_partition(a2, [[2, 1]]))
+    with pytest.raises(DomainError, match="series has 2 variables, partition has 1 classes"):
+        peel_folded(ctx, Series.zero(2, 4))
 
 
 def test_folded_divisibility_failure():

@@ -83,6 +83,19 @@ def test_partition_canonical_order():
         Partition.of(2, [[True], [2]])
 
 
+def test_node_arguments_are_nodes():
+    # a raw index read 0 as the last node and True as node 1
+    flip = DiagramAutomorphism((2, 1))
+    partition = Partition(2, [[1], [2]])
+    for bad in (0, 3, -1, True, 1.0, "1", None):
+        with pytest.raises(DomainError):
+            flip.apply(bad)
+        with pytest.raises(DomainError):
+            partition.class_index(bad)
+    assert [flip.apply(1), flip.apply(2)] == [2, 1]
+    assert [partition.class_index(1), partition.class_index(2)] == [0, 1]
+
+
 def test_check_automorphism_a3(a3):
     flip = check_automorphism(a3, [3, 2, 1])
     assert flip.apply(1) == 3
@@ -184,6 +197,11 @@ def test_transversal_a3(a3):
 def test_transversal_singletons_whole_set(a3):
     p = Partition.of(3, [[1], [2], [3]])
     assert connected_transversal(a3, p) == (1, 2, 3)
+
+
+def test_transversal_refuses_a_partition_of_the_wrong_size(a3):
+    with pytest.raises(DomainError, match="partition covers 1..2, matrix has 3 nodes"):
+        connected_transversal(a3, Partition.of(2, [[1], [2]]))
 
 
 def test_transversal_disconnected_graph_fails():
@@ -376,6 +394,21 @@ def test_marker_errors(a3):
     fig2 = FoldContext(figure2(), Partition.of(9, FIGURE2_CLASSES))
     with pytest.raises(NotEquiconnected):
         fig2.marker_exponent(PVIndex(tuple(range(1, 10)), (0,) * 9))
+
+
+def test_marker_sums_over_connected_parts(a3):
+    # like the plain marker: the empty index has the zero marker, a
+    # disconnected index the sum of its parts' markers, and each part must
+    # be a class union
+    identity = FoldContext(a3, Partition.of(3, [[1], [2], [3]]))
+    assert identity.marker_exponent(PVIndex((), ())) == (0, 0, 0)
+    assert identity.marker_exponent(PVIndex((1, 3), (0, 2))) == (1, 0, 3)
+    flip = FoldContext(a3, orbit_partition(a3, [[3, 2, 1]]))
+    assert flip.marker_exponent(PVIndex((), ())) == (0, 0)
+    with pytest.raises(NotClassUnion, match=r"^\[1\] cuts the class \[1, 3\]$"):
+        flip.marker_exponent(PVIndex((1, 3), (0, 0)))
+    with pytest.raises(NotClassUnion):
+        flip.marker_exponent(PVIndex((1, 2), (0, 0)))
 
 
 def test_marker_equality_implies_equivalence():

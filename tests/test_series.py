@@ -105,6 +105,26 @@ def test_bad_exponents_rejected():
         series(2, 3, {(-1, 0): 1})
 
 
+def test_exponent_must_be_iterable():
+    # an int exponent ended in a bare TypeError from tuple()
+    with pytest.raises(DomainError, match="an exponent of type int is not iterable"):
+        Series(1, 2, {5: 1})
+    assert Series.one(1, 2).coefficient(5) == 0
+
+
+def test_packing_state_is_linear_in_nvars():
+    # a table of unit keys held n ints of b*n bits each: 14 MB at n = 10**4
+    n = 10 ** 4
+    pack = series_module._packing(n, 0)
+    size = sum(sys.getsizeof(getattr(pack, name)) for name in pack.__slots__)
+    assert size + sum(map(sys.getsizeof, pack.shifts)) < 10 ** 6
+    assert Series.zero(n, 0).is_zero
+    small = series_module._packing(3, 5)
+    assert small.lex // small.mask == sum(1 << s for s in small.shifts)
+    for i in range(3):
+        assert small.unit(i) == small.key(tuple(int(j == i) for j in range(3)))
+
+
 def test_counts_must_be_ints():
     # a bool would pass for 0 or 1, and a float or a str failed later, unexplained
     for nvars, cap in ((1, True), (True, 2), (1, 2.5), ("a", 2), (1, None)):

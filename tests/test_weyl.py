@@ -48,6 +48,19 @@ def test_pairing_outside_node_set_refuses():
         PVIndex((1, 2), (0, 0)).pairing(3)
 
 
+def test_pvindex_refuses_instead_of_coercing():
+    # True read as node 1, a repeat was dropped, and bytes ended in IndexError
+    with pytest.raises(DomainError, match="node True is not an int"):
+        PVIndex((1, 2), (3, 0)).pairing(True)
+    with pytest.raises(DomainError, match="is not strictly increasing"):
+        PVIndex.from_map([2, 1, 1], {1: 0, 2: 3})
+    with pytest.raises(DomainError, match="not a mapping"):
+        PVIndex.from_map(b"x", b"x")
+    with pytest.raises(DomainError, match="about 5001 digits"):
+        PVIndex((1, 2), (3, 0)).pairing(10 ** 5000)
+    assert PVIndex((1, 2), (3, 0)).pairing(1) == 3
+
+
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_a1_two_terms(a1, m):
     terms = orbit_terms(a1, (1,), {1: m}, m + 2)
