@@ -26,23 +26,11 @@ import sys
 from fractions import Fraction
 from functools import partial
 
+# every command uses cartan and errors; each other module is executed by the
+# first command that calls into it (see the package's __init__)
+from . import factorizer, folding, numerators, series, weyl
 from .cartan import CartanMatrix, validate_gcm
 from .errors import CapTooSmall, DomainError, SchemaError, _number_text
-from .factorizer import (
-    peel_folded,
-    peel_log_sum,
-    verify_equivalence,
-)
-from .folding import FoldContext, Partition, connected_transversal, orbit_partition
-from .numerators import (
-    character,
-    leading_coefficient_closed_form,
-    log_numerator,
-    marker_exponent,
-    root_multiplicities,
-)
-from .series import Series, _sum_of
-from .weyl import PVIndex, normalized_numerator
 
 
 # -- schema helpers ------------------------------------------------------------
@@ -141,7 +129,7 @@ def _parse_nodes(cm, value, pointer) -> list[int]:
     return nodes
 
 
-def _parse_index(cm, obj, pointer) -> PVIndex:
+def _parse_index(cm, obj, pointer) -> weyl.PVIndex:
     obj = _object(obj, pointer)
     nodes = _parse_nodes(cm, _field(obj, "I", pointer), f"{pointer}/I")
     lam_obj = _object(_field(obj, "lam", pointer), f"{pointer}/lam")
@@ -151,27 +139,27 @@ def _parse_index(cm, obj, pointer) -> PVIndex:
         lam[node] = _integer(v, f"{pointer}/lam/{key}")
     if set(lam) != set(nodes):
         raise SchemaError(f"{pointer}/lam", "keys must match the node set I")
-    return PVIndex.from_map(nodes, lam)
+    return weyl.PVIndex.from_map(nodes, lam)
 
 
-def _parse_partition(cm, payload) -> Partition:
+def _parse_partition(cm, payload) -> folding.Partition:
     payload = _object(payload, "/")
     if "classes" in payload:
         classes = _array(payload["classes"], "/classes")
         parsed = [_parse_nodes(cm, part, f"/classes/{i}") for i, part in enumerate(classes)]
         try:
-            return Partition.of(cm.n, parsed)
+            return folding.Partition.of(cm.n, parsed)
         except DomainError as exc:
             raise SchemaError("/classes", str(exc)) from None
     if "automorphisms" in payload:
         perms = _array(payload["automorphisms"], "/automorphisms")
         # orbit_partition checks each generator as it is parsed, in order
-        return orbit_partition(cm, (_parse_nodes(cm, perm, f"/automorphisms/{i}")
-                                    for i, perm in enumerate(perms)))
+        return folding.orbit_partition(cm, (_parse_nodes(cm, perm, f"/automorphisms/{i}")
+                                            for i, perm in enumerate(perms)))
     raise SchemaError("/", "expected 'classes' or 'automorphisms'")
 
 
-def _parse_series(payload, nvars, cap, pointer) -> Series:
+def _parse_series(payload, nvars, cap, pointer) -> series.Series:
     block = _object(payload, pointer)
     terms_doc = _array(_field(block, "terms", pointer), f"{pointer}/terms")
     terms = []
@@ -186,7 +174,7 @@ def _parse_series(payload, nvars, cap, pointer) -> Series:
         coords = tuple(_integer(v, f"{pointer}/terms/{i}/0/{j}", minimum=0)
                        for j, v in enumerate(exp))
         terms.append((coords, _fraction(pair[1], f"{pointer}/terms/{i}/1")))
-    return Series(nvars, cap, terms)
+    return series.Series(nvars, cap, terms)
 
 
 def _degree_of(args, payload) -> int:
@@ -196,10 +184,10 @@ def _degree_of(args, payload) -> int:
 
 # -- output helpers -------------------------------------------------------------
 
-def _series_doc(series: Series) -> dict:
+def _series_doc(s: series.Series) -> dict:
     return {
-        "cap": series.cap,
-        "terms": [[list(e), str(c)] for e, c in series.items()],
+        "cap": s.cap,
+        "terms": [[list(e), str(c)] for e, c in s.items()],
     }
 
 
@@ -207,7 +195,7 @@ def _labels(cm, nodes) -> list[str]:
     return [cm.label(i) for i in nodes]
 
 
-def _factor_doc(cm, pv: PVIndex) -> dict:
+def _factor_doc(cm, pv: weyl.PVIndex) -> dict:
     return {"I": _labels(cm, pv.nodes),
             "lam": {cm.label(i): p for i, p in zip(pv.nodes, pv.pairings)}}
 
@@ -221,7 +209,7 @@ def _result_doc(cm, result) -> dict:
     }
 
 
-def _log_term(cm, entry, pointer, cap, marker, term) -> Series:
+def _log_term(cm, entry, pointer, cap, marker, term) -> series.Series:
     """An entry's log-numerator ``term``, once its ``marker`` fits the cap."""
     pv = _parse_index(cm, entry, pointer)
     if (deg := sum(marker(pv))) > cap:
@@ -248,15 +236,15 @@ def _cmd_numerator(args, payload, log=False):
     cm = _parse_gcm(payload)
     cap = _degree_of(args, payload)
     pv = _parse_index(cm, payload, "")
-    series = (log_numerator if log else normalized_numerator)(cm, pv, cap)
-    return {"series": _series_doc(series)}, series.text()
+    s = (numerators.log_numerator if log else weyl.normalized_numerator)(cm, pv, cap)
+    return {"series": _series_doc(s)}, s.text()
 
 
 def _cmd_character(args, payload):
     cm = _parse_gcm(payload)
     cap = _degree_of(args, payload)
     pv = _parse_index(cm, payload, "")
-    value = character(cm, pv, payload.get("offset"), cap)
+    value = numerators.character(cm, pv, payload.get("offset"), cap)
     return ({"offset": value.offset, "series": _series_doc(value.body)},
             value.body.text())
 
@@ -264,7 +252,7 @@ def _cmd_character(args, payload):
 def _cmd_multiplicities(args, payload):
     cm = _parse_gcm(payload)
     cap = _degree_of(args, payload)
-    mult = root_multiplicities(cm, cap)
+    mult = numerators.root_multiplicities(cm, cap)
     rows = [[list(e), m] for e, m in sorted(mult.items(), key=lambda t: (sum(t[0]), t[0]))]
     text = "\n".join(",".join(map(str, e)) + f" {m}" for e, m in rows)
     return {"multiplicities": rows}, text
@@ -273,7 +261,7 @@ def _cmd_multiplicities(args, payload):
 def _cmd_leading_coeff(args, payload):
     cm = _parse_gcm(payload)
     nodes = _parse_nodes(cm, _field(payload, "I", ""), "/I")
-    value = leading_coefficient_closed_form(cm, nodes)
+    value = numerators.leading_coefficient_closed_form(cm, nodes)
     return {"value": str(value)}, str(value)
 
 
@@ -287,7 +275,7 @@ def _cmd_orbits(args, payload):
 def _cmd_transversal(args, payload):
     cm = _parse_gcm(payload)
     partition = _parse_partition(cm, payload)
-    nodes = connected_transversal(cm, partition)
+    nodes = folding.connected_transversal(cm, partition)
     return {"transversal": _labels(cm, nodes)}, ",".join(_labels(cm, nodes))
 
 
@@ -295,7 +283,7 @@ def _cmd_lean_lifts(args, payload):
     cm = _parse_gcm(payload)
     partition = _parse_partition(cm, payload)
     nodes = _parse_nodes(cm, _field(payload, "K", ""), "/K")
-    ctx = FoldContext(cm, partition)
+    ctx = folding.FoldContext(cm, partition)
     lifts, lean, equi = ctx.lean_lifts(nodes)
     doc = {
         "equiconnected": equi,
@@ -310,20 +298,23 @@ def _cmd_factor(args, payload, folded=False):
     cm = _parse_gcm(payload)
     cap = _degree_of(args, payload)
     if folded:
-        ctx = FoldContext(cm, _parse_partition(cm, payload))
+        ctx = folding.FoldContext(cm, _parse_partition(cm, payload))
         nvars, marker, term = (ctx.partition.num_classes, ctx.marker_exponent,
                                ctx.fold_log_numerator)
     else:
-        nvars, marker, term = cm.n, partial(marker_exponent, cm), partial(log_numerator, cm)
+        nvars, marker, term = (cm.n, partial(numerators.marker_exponent, cm),
+                               partial(numerators.log_numerator, cm))
     if "log_sum_of" in payload:
         entries = _array(payload["log_sum_of"], "/log_sum_of")
-        total = _sum_of(nvars, cap, (_log_term(cm, entry, f"/log_sum_of/{i}", cap, marker, term)
-                                     for i, entry in enumerate(entries)))
+        total = series._sum_of(nvars, cap, (
+            _log_term(cm, entry, f"/log_sum_of/{i}", cap, marker, term)
+            for i, entry in enumerate(entries)))
     elif "series" in payload:
         total = _parse_series(payload["series"], nvars, cap, "/series")
     else:
         raise SchemaError("/", "expected 'log_sum_of' or 'series'")
-    result = peel_folded(ctx, total) if folded else peel_log_sum(cm, total)
+    result = (factorizer.peel_folded(ctx, total) if folded
+              else factorizer.peel_log_sum(cm, total))
     doc = _result_doc(cm, result)
     text = "\n".join(
         "I={%s} lam=%s" % (",".join(f["I"]), ",".join(str(f["lam"][k]) for k in f["I"]))
@@ -345,8 +336,8 @@ def _cmd_verify(args, payload):
         return [[_fraction(x, f"/{key}/{i}/{j}") for j, x in
                  enumerate(_array(row, f"/{key}/{i}"))] for i, row in enumerate(rows)]
 
-    sigma = verify_equivalence(left, right, offsets("offsets_left"),
-                               offsets("offsets_right"))
+    sigma = factorizer.verify_equivalence(left, right, offsets("offsets_left"),
+                                          offsets("offsets_right"))
     return ({"matching": sigma},
             "matching=" + ("none" if sigma is None else ",".join(map(str, sigma))))
 

@@ -7,13 +7,16 @@ JSON (:class:`SchemaError`).  :func:`_count` refuses a count, cap, node,
 pairing, matrix entry or partition size that is a ``bool`` or not an
 ``int``; :func:`_node` also refuses a node outside 1..n,
 :func:`_coefficient` lets a ``Fraction`` through, and :func:`_iterable`
-refuses a list that is not iterable.  Nothing is converted.  The CLI
-checks its JSON with its own helpers first.
+refuses a list that is not iterable, or a ``bytes`` object, whose items
+would pass for ints.  Nothing is converted.  The CLI checks its JSON with its
+own helpers first.  :data:`_CACHE_SIZE` bounds every cache of the package.
 """
 
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+_CACHE_SIZE = 256  # entries per cache of the package; a peel pool needs ~30
 
 
 def _number_text(value) -> str:
@@ -64,7 +67,11 @@ def _coefficient(value, what: str = "coefficient") -> int | Fraction:
 
 
 def _iterable(values, what: str) -> Iterator:
-    """An iterator over the values; a non-iterable is refused."""
+    """An iterator over the values; a non-iterable, or a ``bytes`` or
+    ``bytearray`` object, whose items are ints, is refused."""
+    if isinstance(values, (bytes, bytearray)):
+        raise DomainError(f"{what} of type {type(values).__name__} is refused, "
+                          "as its bytes would pass for ints")
     try:
         return iter(values)
     except TypeError:

@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 
 from .cartan import CartanMatrix, _Frozen
 from .errors import (
+    _CACHE_SIZE,
     DisconnectedCandidateSupport,
     DivisibilityFailure,
     DomainError,
@@ -53,7 +54,7 @@ from .errors import (
 )
 from .folding import FoldContext, Partition, _folded_log_numerator, _lift_data
 from .numerators import log_numerator
-from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _packing, _Sum, support
+from .series import _DENSE_TERM_LIMIT, Series, _packing, _Sum, support
 from .weyl import PVIndex, _full_index
 
 

@@ -19,10 +19,12 @@ package's bounded caches.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import numerators, weyl
 from .cartan import CartanMatrix, _Frozen, _mask, _nodes, connected_components
 from .errors import (
+    _CACHE_SIZE,
     DomainError,
     NoLift,
     NotClassUnion,
@@ -36,9 +38,10 @@ from .errors import (
     _node,
     _node_ints,
 )
-from .numerators import log_numerator
-from .series import _CACHE_SIZE, Series
-from .weyl import PVIndex
+
+if TYPE_CHECKING:
+    from .series import Series
+    from .weyl import PVIndex
 
 _LIFT_NODE_LIMIT = 16
 
@@ -245,13 +248,13 @@ class FoldContext(_Frozen):
         if set(class_pairings) != set(classes):
             raise DomainError(f"class pairing keys {list(class_pairings)} do not match "
                               f"the classes {classes} that {list(K)} meets")
-        return PVIndex(K, [class_pairings[index(i)] for i in K])
+        return weyl.PVIndex(K, [class_pairings[index(i)] for i in K])
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)  # a bool cap misses, and is refused
 def _folded_log_numerator(cm: CartanMatrix, partition: Partition, pv: PVIndex,
                           cap: int) -> Series:
-    return log_numerator(cm, pv, cap).fold(partition)
+    return numerators.log_numerator(cm, pv, cap).fold(partition)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

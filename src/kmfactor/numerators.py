@@ -17,8 +17,9 @@ from functools import lru_cache
 from typing import Iterable
 
 from .cartan import CartanMatrix, _Frozen, _mask
-from .errors import DomainError, NonIntegralCharacter, NonIntegralMultiplicity, SizeLimit, _count
-from .series import _CACHE_SIZE, Series
+from .errors import (_CACHE_SIZE, DomainError, NonIntegralCharacter, NonIntegralMultiplicity,
+                     SizeLimit, _count)
+from .series import Series
 from .weyl import PVIndex, _full_index, normalized_numerator
 
 _CLOSED_FORM_NODE_LIMIT = 12  # 13 isolated nodes already take about 20 s

@@ -83,8 +83,8 @@ from itertools import repeat
 from operator import add, and_, lshift, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (CapMismatch, ConstantTermNotOne, DomainError, TermLimit, _coefficient,
-                     _count, _iterable, _number_text)
+from .errors import (_CACHE_SIZE, CapMismatch, ConstantTermNotOne, DomainError, TermLimit,
+                     _coefficient, _count, _iterable, _number_text)
 
 Exponent = tuple[int, ...]
 
@@ -95,7 +95,6 @@ _DENSE_TERM_LIMIT = 100_000
 # Most term pairs a product may visit, a few seconds of work; the largest
 # product in the benchmark visits 7436.
 _PAIR_LIMIT = 10_000_000
-_CACHE_SIZE = 256  # entries per cache of the package; a peel pool needs ~30
 
 
 def degree(exponent: Sequence[int]) -> int:
@@ -239,9 +238,14 @@ class Series:
                 terms: Mapping[Exponent, object] | Iterable[tuple[Exponent, object]] = ()):
         _check_shape(nvars, cap)
         key = _packing(nvars, cap).key
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, Mapping) else _iterable(terms, "a term list")
         exact: dict[int, int | Fraction] = {}
-        for exponent, coeff in items:
+        for item in items:
+            try:
+                exponent, coeff = item
+            except (TypeError, ValueError):
+                raise DomainError(f"a term of type {type(item).__name__} is not an "
+                                  "(exponent, coefficient) pair") from None
             exp = _check_exponent(exponent, nvars)
             c = _coefficient(coeff)
             if c and sum(exp) <= cap:  # truncation is silent by contract

@@ -17,9 +17,9 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .cartan import CartanMatrix, _Frozen
-from .errors import (DomainError, NegativeIntegrability, TermLimit, _count, _iterable,
-                     _node_ints, _number_text)
-from .series import _CACHE_SIZE, _DENSE_TERM_LIMIT, Series, _packing
+from .errors import (_CACHE_SIZE, DomainError, NegativeIntegrability, TermLimit, _count,
+                     _iterable, _node_ints, _number_text)
+from .series import _DENSE_TERM_LIMIT, Series, _packing
 
 
 class PVIndex(_Frozen):
@@ -51,9 +51,9 @@ class PVIndex(_Frozen):
         """The index of the nodes, in any order, with the pairing ``lam[i]`` at
         node i; a repeated node, or a ``lam`` that is no mapping of exactly
         the nodes, is refused."""
-        I = tuple(sorted(_node_ints(nodes)))
         if not isinstance(lam, Mapping):
             raise DomainError(f"pairings of type {type(lam).__name__} are not a mapping")
+        I = tuple(sorted(_node_ints(nodes)))
         if set(lam) != set(I):
             raise DomainError(
                 f"pairing keys {sorted(lam)} do not match node set {list(I)}")
@@ -96,7 +96,7 @@ def orbit_terms(cm: CartanMatrix, nodes: Iterable[int],
     order.
     """
     I = cm.check_nodes(nodes)
-    pv = PVIndex.from_map(I, dict(lam))
+    pv = PVIndex.from_map(I, lam)
     signs = _orbit(cm, pv, cap)
     exponent = _packing(cm.n, cap).exponent
     return [OrbitTerm._new(exponent(key), signs[key]) for key in sorted(signs)]

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from catalog import MATRICES
-from kmfactor import (FoldContext, Partition, PVIndex, Series, cli, log_numerator,
-                      orbit_partition, selftest, validate_gcm)
+from kmfactor import (FoldContext, Partition, PVIndex, Series, cli, factorizer,
+                      log_numerator, orbit_partition, selftest, validate_gcm)
 from kmfactor import series as series_module
 from kmfactor.cli import _COMMANDS, main
 from kmfactor.errors import DomainError
@@ -159,7 +159,7 @@ def test_log_sum_is_summed_in_place(monkeypatch, capsys, tmp_path, command, extr
         totals.append(args[1])
         raise DomainError("stop before the peel")
 
-    monkeypatch.setattr(cli, "peel_folded" if extra else "peel_log_sum", peeled)
+    monkeypatch.setattr(factorizer, "peel_folded" if extra else "peel_log_sum", peeled)
     code, _ = run(capsys, tmp_path, command, payload)
     assert code == 1 and len(totals) == 1
     assert len(adds) == len(entries) and all(step == 1 for _, step in adds)
@@ -195,17 +195,19 @@ def test_round_trip_sums_in_place(monkeypatch):
 
 def test_cli_and_selftest_sum_through_the_series_helper():
     # both build their in-place sums with series._sum_of, not from the
-    # stored form of a series
+    # stored form of a series; cli reads names off its modules (series._sum_of)
     package = os.path.dirname(cli.__file__)
     for name in ("cli.py", "selftest.py"):
         with open(os.path.join(package, name), encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), name)
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         built = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == "_new"
-                 and getattr(node.value, "id", None) == "Series"]
+                 and "Series" in (getattr(node.value, "id", None),
+                                  getattr(node.value, "attr", None))]
         assert (names & {"_Sum", "_reduce"}, built) == (set(), []), name
         assert "_sum_of" in names, name
 
@@ -431,6 +433,40 @@ def test_import_footprint():
     assert "kmfactor.cli" in out
     for name in ("dataclasses", "inspect", "kmfactor.selftest"):
         assert name not in out
+
+
+# the public names of the package, unchanged since the package was eager
+PUBLIC = {
+    "CartanMatrix", "connected_components", "is_connected", "validate_gcm",
+    "DomainError", "SchemaError",
+    "FactorizationResult", "peel_folded", "peel_log_sum", "recover_from_character_product",
+    "verify_equivalence",
+    "DiagramAutomorphism", "FoldContext", "Partition", "check_automorphism",
+    "connected_transversal", "orbit_partition",
+    "CharacterValue", "character", "leading_coefficient_closed_form", "log_numerator",
+    "marker_exponent", "root_multiplicities",
+    "Series", "degree", "support",
+    "OrbitTerm", "PVIndex", "normalized_numerator", "orbit_terms",
+}
+
+
+def test_public_names():
+    """``from kmfactor import *`` and ``dir(kmfactor)`` give the 30 public
+    names, each the object its submodule defines, whether or not the
+    submodule has run yet."""
+    import kmfactor
+
+    namespace = {}
+    exec("from kmfactor import *", namespace)
+    del namespace["__builtins__"]
+    assert len(PUBLIC) == 30 and set(namespace) == PUBLIC
+    listed = {name for name in dir(kmfactor) if not name.startswith("_")
+              and not isinstance(getattr(kmfactor, name), type(kmfactor))}
+    assert listed == PUBLIC
+    for name, value in namespace.items():
+        assert value is getattr(sys.modules[value.__module__], name) is getattr(kmfactor, name)
+    with pytest.raises(AttributeError, match="no attribute 'selftests'"):
+        kmfactor.selftests
 
 
 def test_repeated_node_rejected(capsys, tmp_path):

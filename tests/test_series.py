@@ -649,14 +649,29 @@ def test_one_module_checks_the_ints():
 
 def test_tracer_installs():
     # perfbench/tracer.py patches Series and FoldContext methods by name, so
-    # removing or inheriting one of them breaks the traced benchmark run
+    # removing or inheriting one of them breaks the traced benchmark run.
+    # After ``import kmfactor.cli``, as in perfbench/kmf_traced.py, the
+    # modules cli has not used yet are still lazy, and the tracer must wrap
+    # the same library layers as after ``import kmfactor``.
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-    code = ("import sys; sys.path[:0] = sys.argv[1:]; import kmfactor; "
-            "from tracer import Tracer; Tracer().install()")
-    done = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
-                           os.path.join(root, "perfbench")],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+    layers = {}
+    for module in ("kmfactor", "kmfactor.cli"):
+        code = (f"import sys; sys.path[:0] = sys.argv[1:]; import {module}; "
+                "from tracer import Tracer; tracer = Tracer(); tracer.install(); "
+                "series, folding = sys.modules['kmfactor.series'], "
+                "sys.modules['kmfactor.folding']; "
+                "print(hasattr(series.Series.__mul__, '__wrapped__'), "
+                "hasattr(folding.FoldContext.lift_data, '__wrapped__'), *tracer.extra)")
+        done = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
+                               os.path.join(root, "perfbench")],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        mul, lift_data, *names = done.stdout.split()
+        assert (mul, lift_data) == ("True", "True"), module
+        layers[module] = set(names)
+    # 31 library layers, and cli's own two where cli is imported
+    assert len(layers["kmfactor"]) == 31
+    assert layers["kmfactor.cli"] == layers["kmfactor"] | {"cli.build_parser", "cli.main"}
 
 
 @st.composite

@@ -18,6 +18,7 @@ from kmfactor import (
     PVIndex,
     Series,
     log_numerator,
+    orbit_terms,
     validate_gcm,
 )
 from kmfactor.cartan import _Frozen
@@ -139,6 +140,37 @@ def test_pvindex_normalizes_and_checks():
             PVIndex(nodes, pairings)
     with pytest.raises(DomainError, match="^node 'a' is not an int$"):
         PVIndex.from_map((1, "a"), {1: 0, "a": 0})
+
+
+# bytes iterate as ints, so b"\x01" passed as the node list (1,)
+@pytest.mark.parametrize("build", [
+    lambda: PVIndex(b"\x01", (0,)),
+    lambda: Partition.of(2, [b"\x01", b"\x02"]),
+    lambda: DiagramAutomorphism(b"\x02\x01"),
+    lambda: validate_gcm(A2_ROWS).check_nodes(b"\x01"),
+    lambda: validate_gcm(A2_ROWS).check_nodes(bytearray(b"\x01")),
+], ids=["PVIndex", "Partition.of", "DiagramAutomorphism", "check_nodes",
+        "check_nodes-bytearray"])
+def test_bytes_are_no_node_list(build):
+    with pytest.raises(DomainError, match="node list of type (bytes|bytearray) is refused"):
+        build()
+
+
+# terms that are not pairs ended in ValueError from unpacking, and orbit_terms
+# read its pairings through dict(), which refused a str or a tuple of ints
+# with ValueError or TypeError
+@pytest.mark.parametrize("build, message", [
+    (lambda: Series(3, 4, "1"), "a term of type str is not an"),
+    (lambda: Series(1, 2, [((1,), 1, 2)]), "a term of type tuple is not an"),
+    (lambda: Series(1, 2, 5), "a term list of type int is not iterable"),
+    (lambda: orbit_terms(validate_gcm(A2_ROWS), (), "1", 3),
+     "pairings of type str are not a mapping"),
+    (lambda: orbit_terms(validate_gcm(A2_ROWS), (), (0,), 3),
+     "pairings of type tuple are not a mapping"),
+], ids=["Series-str", "Series-triple", "Series-int", "orbit_terms-str", "orbit_terms-tuple"])
+def test_malformed_terms_and_pairings_are_refused(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 def test_cartan_matrix_hash_follows_rows_and_labels():
