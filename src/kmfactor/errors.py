@@ -68,14 +68,18 @@ def _coefficient(value, what: str = "coefficient") -> int | Fraction:
 
 def _iterable(values, what: str) -> Iterator:
     """An iterator over the values; a non-iterable, or a ``bytes`` or
-    ``bytearray`` object, whose items are ints, is refused."""
-    if isinstance(values, (bytes, bytearray)):
+    ``bytearray`` object or a ``memoryview`` of one, whose items are ints,
+    is refused.  A ``memoryview`` of other values, such as an ``array``,
+    is iterated like them."""
+    try:
+        exporter = values.obj if isinstance(values, memoryview) else values
+        iterator = iter(values)
+    except (TypeError, ValueError):  # ValueError: a released memoryview
+        raise DomainError(f"{what} of type {type(values).__name__} is not iterable") from None
+    if isinstance(exporter, (bytes, bytearray)):
         raise DomainError(f"{what} of type {type(values).__name__} is refused, "
                           "as its bytes would pass for ints")
-    try:
-        return iter(values)
-    except TypeError:
-        raise DomainError(f"{what} of type {type(values).__name__} is not iterable") from None
+    return iterator
 
 
 def _node_ints(values: Iterable) -> tuple[int, ...]:

@@ -26,14 +26,18 @@ the trusted constructor every value type inherits from its base: the
 nodes they read off a candidate are sorted and distinct and the pairings
 nonnegative ints, so the checks of the public constructor would only
 repeat that.  The result is built the same way.
+
+A sum of cached log-numerators starts its peel with its candidate known:
+the loop fills the top of a step's log-numerator at the step's first
+cache hit, a sum of series with known tops mostly knows its own (see
+:mod:`kmfactor.series`), and the loop takes its first candidate from the
+top of its input; later candidates scan the residual.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress, repeat
-from operator import eq
 from typing import Callable, Sequence
 
 from .cartan import CartanMatrix, _Frozen
@@ -96,23 +100,30 @@ class _Residual(_Sum):
         contained in another stored support, break ties by lexicographically
         smallest sorted support; within that support take the
         lexicographically smallest exponent, which is componentwise minimal
-        among them.  The support of a key is read with one add and one mask
-        into a mask that holds the first coordinate's bit highest.  A strict
-        superset has the larger mask, and among supports none of which
-        contains another the lexicographically smallest has the largest
-        mask, so the largest mask is the chosen support.  The low fields of
-        a key read in lexicographic order, so the minimum is unique and
-        does not depend on the order in which the keys are stored.
+        among them.  One scan of the keys finds it, the same
+        :meth:`~kmfactor.series._Packing.top` that fills a series' top.
         """
-        pack, keys = self.pack, self.terms.keys()
-        masks = list(pack.supports(keys))
-        return min(compress(keys, map(eq, masks, repeat(max(masks)))), key=pack.lex.__and__)
+        return self.pack.top(self.terms.keys())
+
+
+class _Step:
+    """A cached peel step: the factor ``pv`` of a candidate key and its
+    log-numerator ``t``.  The peel fills ``t``'s top at the entry's first
+    hit, so a sum of cached log-numerators starts its next peel with its
+    candidate known, while a cold peel, whose steps all miss, still scans
+    once per step."""
+
+    __slots__ = ("pv", "t", "seen")
+
+    def __init__(self, pv: PVIndex, t: Series):
+        self.pv, self.t, self.seen = pv, t, False
 
 
 def _peel(total: Series, step: Callable) -> FactorizationResult:
-    """The one peel loop: ``step(key)`` gives the factor read off a positive
-    candidate key and its log-numerator, and that log-numerator times the
-    factor's multiplicity is subtracted in one step.
+    """The one peel loop: ``step(key)`` gives the :class:`_Step` of a
+    positive candidate key, the factor read off it and its log-numerator,
+    and that log-numerator times the factor's multiplicity is subtracted in
+    one step.
 
     The multiplicity is the candidate's coefficient over the factor's
     marker coefficient, which for a sum of log-numerators is the number of
@@ -122,14 +133,18 @@ def _peel(total: Series, step: Callable) -> FactorizationResult:
     ends after at most as many steps as there are exponents under the cap;
     a result of more than ``_DENSE_TERM_LIMIT`` factors is refused.  The
     loop runs on one :class:`_Residual`, so a step builds no series, and a
-    candidate is decoded only to name it in a refusal.
+    candidate is decoded only to name it in a refusal.  The first candidate
+    is ``total``'s top, known without a scan when ``total`` is a sum of
+    log-numerators whose tops are known; later ones scan the residual.
     """
     residual = _Residual(total)
     exponent = residual.pack.exponent
     factors: list[PVIndex] = []
     peeled: set[int] = set()
+    pick = total._candidate
     while residual.terms:
-        key = residual.candidate()
+        key = pick()
+        pick = residual.candidate
         coeff = residual.terms[key]
         if coeff <= 0:
             raise NegativeLeadingCoefficient(
@@ -137,7 +152,12 @@ def _peel(total: Series, step: Callable) -> FactorizationResult:
                 f"at candidate {exponent(key)}")
         if key in peeled:
             raise NonzeroResidual(f"candidate {exponent(key)} came back after it was peeled")
-        pv, t = step(key)
+        entry = step(key)
+        pv, t = entry.pv, entry.t
+        if t._top is None:
+            if entry.seen:
+                t._candidate()
+            entry.seen = True
         marker = t._terms.get(key, 0)
         m, r = divmod(coeff * t._den, residual.den * marker) if marker > 0 else (0, 1)
         if r or m < 1:
@@ -156,7 +176,7 @@ def _peel(total: Series, step: Callable) -> FactorizationResult:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _plain_step(cm: CartanMatrix, cap: int, key: int) -> tuple[PVIndex, Series]:
+def _plain_step(cm: CartanMatrix, cap: int, key: int) -> _Step:
     """The factor of a plain candidate key and its log-numerator.
 
     The candidate's support must be connected; it is the factor's node set,
@@ -167,12 +187,11 @@ def _plain_step(cm: CartanMatrix, cap: int, key: int) -> tuple[PVIndex, Series]:
     if not cm._connected(nodes):
         raise DisconnectedCandidateSupport(f"candidate {beta} has support {list(nodes)}")
     pv = PVIndex._new(nodes, tuple(beta[i - 1] - 1 for i in nodes))
-    return pv, log_numerator(cm, pv, cap)
+    return _Step(pv, log_numerator(cm, pv, cap))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _folded_step(cm: CartanMatrix, partition: Partition, cap: int,
-                 key: int) -> tuple[PVIndex, Series]:
+def _folded_step(cm: CartanMatrix, partition: Partition, cap: int, key: int) -> _Step:
     """The factor of a folded candidate key and its folded log-numerator.
 
     The candidate's class support gives the class union K, which must be
@@ -200,7 +219,7 @@ def _folded_step(cm: CartanMatrix, partition: Partition, cap: int,
                 f"multiple of the lean-lift count {m}")
         pairings.update(dict.fromkeys(classes[c], q - 1))
     pv = PVIndex._new(nodes, tuple(pairings[i] for i in nodes))
-    return pv, _folded_log_numerator(cm, partition, pv, cap)
+    return _Step(pv, _folded_log_numerator(cm, partition, pv, cap))
 
 
 def peel_log_sum(cm: CartanMatrix, total: Series) -> FactorizationResult:

@@ -50,6 +50,20 @@ Negation, and scaling by -1, negate the numerators over the same
 denominator: gcd(den, -n) = gcd(den, n), so no gcd is taken.  ``fold``
 re-packs each key through a per-class digit map.
 
+A series may carry its peel candidate in the private slot ``_top``: the
+key of the largest support mask with the lexicographically smallest low
+fields, or None while unknown.  ``_candidate`` fills it on first use with
+``_Packing.top``, the one scan the peel residual of
+:mod:`kmfactor.factorizer` also uses.  Negation and nonzero scaling keep
+the keys, so they keep the top.  Every key of a sum is a key of an operand,
+so a sum of two operands whose tops are known takes:
+
+* masks differ: the top of the larger mask, which the other cannot cancel;
+* masks equal: the lexicographically smaller top, if it is still a key;
+* otherwise no top.
+
+No other operation derives a top.
+
 All operations are pure, truncate at the common cap, and report terms in
 term order, so results are deterministic.
 
@@ -79,8 +93,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
-from operator import add, and_, lshift, or_
+from itertools import compress, repeat
+from operator import add, and_, eq, lshift, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (_CACHE_SIZE, CapMismatch, ConstantTermNotOne, DomainError, TermLimit,
@@ -168,6 +182,20 @@ class _Packing:
         with the first coordinate's bit highest."""
         return map(and_, map(add, keys, repeat(self.low)), repeat(self.guards))
 
+    def top(self, keys) -> int:
+        """The peel candidate among nonempty ``keys``, read in one scan: the
+        lexicographically smallest key of the largest support mask.
+
+        A strict superset has the larger mask, and among supports none of
+        which contains another the lexicographically smallest has the
+        largest mask, so the largest mask is the support-maximal one that
+        the peel takes.  The low fields of a key read in lexicographic
+        order, so the minimum is unique, componentwise minimal within its
+        support, and does not depend on the order of ``keys``.
+        """
+        masks = list(self.supports(keys))
+        return min(compress(keys, map(eq, masks, repeat(max(masks)))), key=self.lex.__and__)
+
 
 _packing = lru_cache(maxsize=_CACHE_SIZE)(_Packing)
 
@@ -232,7 +260,8 @@ def _sum_of(nvars: int, cap: int, parts: Iterable["Series"]) -> "Series":
 class Series:
     """Immutable sparse truncated series; see the module docstring."""
 
-    __slots__ = ("nvars", "cap", "_terms", "_den", "_pack")
+    # _top: the peel candidate key, or None while unknown; see the module doc
+    __slots__ = ("nvars", "cap", "_terms", "_den", "_pack", "_top")
 
     def __new__(cls, nvars: int, cap: int,
                 terms: Mapping[Exponent, object] | Iterable[tuple[Exponent, object]] = ()):
@@ -256,16 +285,19 @@ class Series:
                                               for k, c in exact.items() if c}, den))
 
     @classmethod
-    def _new(cls, nvars: int, cap: int, terms: dict[int, int], den: int) -> "Series":
+    def _new(cls, nvars: int, cap: int, terms: dict[int, int], den: int,
+             top: int | None = None) -> "Series":
         """The one constructor behind every series: it stores nonzero
         numerators at packed keys over ``den`` as they are, so they must
-        already be in the stored form of :func:`_reduce`."""
+        already be in the stored form of :func:`_reduce`, and ``top`` must be
+        their peel candidate or None."""
         s = object.__new__(cls)
         object.__setattr__(s, "nvars", nvars)
         object.__setattr__(s, "cap", cap)
         object.__setattr__(s, "_terms", terms)
         object.__setattr__(s, "_den", den)
         object.__setattr__(s, "_pack", _packing(nvars, cap))
+        object.__setattr__(s, "_top", top)
         return s
 
     def __setattr__(self, name, value):
@@ -328,6 +360,13 @@ class Series:
     def __len__(self) -> int:
         return len(self._terms)
 
+    def _candidate(self) -> int:
+        """The peel candidate of a nonzero series, scanned on first use and
+        kept in ``_top``."""
+        if self._top is None:
+            object.__setattr__(self, "_top", self._pack.top(self._terms.keys()))
+        return self._top
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -361,7 +400,20 @@ class Series:
         else:
             total = _Sum(other, sign)
             total.add(self, 1)
-        return Series._new(self.nvars, self.cap, *_reduce(total.terms, total.den))
+        terms, den = _reduce(total.terms, total.den)
+        top, other_top = self._top, other._top
+        if top is None or other_top is None:
+            top = None
+        else:  # the rule of the module doc
+            pack = self._pack
+            mask, other_mask = pack.supports((top, other_top))
+            if mask == other_mask:
+                top = min(top, other_top, key=pack.lex.__and__)
+                if top not in terms:
+                    top = None
+            elif mask < other_mask:
+                top = other_top
+        return Series._new(self.nvars, self.cap, terms, den, top)
 
     def __add__(self, other: "Series") -> "Series":
         return self._combine(other, 1) if isinstance(other, Series) else NotImplemented
@@ -372,7 +424,7 @@ class Series:
     def __neg__(self) -> "Series":
         # gcd(den, -n) = gcd(den, n), so the negated numerators stay reduced
         return Series._new(self.nvars, self.cap, {k: -n for k, n in self._terms.items()},
-                           self._den)
+                           self._den, self._top)
 
     def scale(self, coeff) -> "Series":
         c = _coefficient(coeff)
@@ -385,7 +437,7 @@ class Series:
         p = c.numerator
         return Series._new(self.nvars, self.cap,
                            *_reduce({k: p * n for k, n in self._terms.items()},
-                                    self._den * c.denominator))
+                                    self._den * c.denominator), self._top)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

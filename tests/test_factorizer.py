@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catalog import all_connected_subsets, cartan
+from catalog import MATRICES, all_connected_subsets, cartan
 from kmfactor import (
     FactorizationResult,
     FoldContext,
@@ -36,8 +36,8 @@ from kmfactor.errors import (
     TermLimit,
     TooManyFactors,
 )
-from kmfactor.factorizer import _peel, _Residual
-from kmfactor.series import Series
+from kmfactor.factorizer import _peel, _Residual, _Step
+from kmfactor.series import Series, _Packing
 from oracles import (
     brute_automorphisms,
     naive_folded_decoder,
@@ -145,7 +145,7 @@ def forged_step(total, terms):
     decoded exponent stands in for the factor."""
     def step(key):
         beta = total._pack.exponent(key)
-        return beta, terms[beta]
+        return _Step(beta, terms[beta])
     return step
 
 
@@ -612,6 +612,51 @@ def test_warm_peel_steps_are_one_lookup(a3):
         assert peel_both() == (got_plain, got_folded)
         assert all(spy.call_count for spy in spies)  # the spies see a cold step
     assert Counter(got_plain) == Counter(plain) and Counter(got_folded) == Counter(folded)
+
+
+# -- scans for the peel candidate ---------------------------------------------------
+
+def counted_scans():
+    """A spy on the one scan that finds a peel candidate."""
+    return mock.patch.object(_Packing, "top", autospec=True, side_effect=_Packing.top)
+
+
+def test_sums_of_cached_log_numerators_start_their_peel_without_a_scan():
+    # fresh labels, so every step cache entry starts cold whatever ran before
+    cm = validate_gcm(MATRICES["A3"], ["warm.1", "warm.2", "warm.3"])
+    plain = [PVIndex((1, 2, 3), (0, 1, 0)), PVIndex((2, 3), (0, 0)), PVIndex((2, 3), (0, 0)),
+             PVIndex((1,), (2,))]
+    affine = validate_gcm(MATRICES["A3aff"], ["warm.a", "warm.b", "warm.c", "warm.d"])
+    ctx = FoldContext(affine, orbit_partition(affine, [[3, 2, 1, 4]]))
+    folded = [PVIndex((1, 2, 3), (0, 0, 0)), PVIndex((2,), (1,))]
+    cases = [(partial(peel_log_sum, cm), partial(log_numerator, cm), plain),
+             (partial(peel_folded, ctx), ctx.fold_log_numerator, folded)]
+    for peel, term, factors in cases:
+        def total():  # a new sum of the cached log-numerators
+            return sum((term(pv, 8) for pv in factors[1:]), term(factors[0], 8))
+        peel(total())  # every step misses
+        peel(total())  # every step hits and fills its log-numerator's top
+        with counted_scans() as scan:
+            result = peel(total())
+            assert scan.call_count == len(set(factors)) - 1  # once per step after step 0
+            scan.reset_mock()
+            with pytest.raises(NegativeLeadingCoefficient):
+                peel(-total())
+            assert scan.call_count == 0
+        assert Counter(result.factors) == Counter(factors)
+
+
+def test_a_cold_recovery_scans_once_per_step():
+    # the log of a product has no known top, and a step that misses fills none
+    cm = validate_gcm(MATRICES["A2"], ["cold.1", "cold.2"])
+    factors = [PVIndex((1,), (1,)), PVIndex((1, 2), (0, 0)), PVIndex((2,), (0,)),
+               PVIndex((1,), (1,))]
+    bodies = [character(cm, pv, None, 6).body for pv in factors]
+    product = bodies[0] * bodies[1] * bodies[2] * bodies[3]
+    with counted_scans() as scan:
+        result = recover_from_character_product(cm, product, len(factors))
+    assert Counter(result.factors) == Counter(factors)
+    assert scan.call_count == len(set(factors))
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,7 +18,8 @@ from kmfactor.errors import CapMismatch, ConstantTermNotOne, DomainError, TermLi
 from kmfactor.folding import Partition
 from kmfactor import series as series_module
 from kmfactor.series import Series, degree, support
-from oracles import naive_add, naive_fold, naive_invert, naive_log1, naive_mul, naive_scale
+from oracles import (naive_add, naive_fold, naive_invert, naive_log1, naive_mul, naive_scale,
+                     naive_select_candidate)
 
 # Hand expansion of (1-x1)(1-x2)(1-x1x2); also the A2 full-set numerator.
 A2_PRODUCT = {
@@ -321,6 +322,73 @@ def test_zero_operands_and_sign_changes_are_free():
         assert (sums, gcd.call_count) == ([], 0)
         x + x
         assert (len(sums), gcd.call_count) == (1, 1)  # the counters are in place
+
+
+# -- the peel candidate a series carries ---------------------------------------------
+
+@st.composite
+def top_operands(draw):
+    """Two series of one shape, each with its top filled or left unknown.
+    The second operand is drawn against the first one's top: any terms, a
+    term of the same support (the two tops tie on their mask), the top with
+    the negated coefficient on the same support (the top can cancel), minus
+    the first operand (the sum cancels to zero), or zero."""
+    nvars, cap = 3, 9
+    terms = st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in range(nvars))), coeffs,
+                            max_size=6)
+    a = Series(nvars, cap, draw(terms))
+    kind = draw(st.sampled_from(("any", "tie", "cancel", "negated", "zero")))
+    b = Series(nvars, cap, draw(terms))
+    if not a.is_zero and kind in ("tie", "cancel"):
+        top = a._pack.exponent(a._pack.top(a._terms.keys()))
+        inside = {e: c for e, c in draw(terms).items() if set(support(e)) <= set(support(top))}
+        if kind == "tie":
+            inside[tuple(draw(st.integers(1, 3)) if x else 0 for x in top)] = Fraction(1)
+        else:
+            inside[top] = -a.coefficient(top)
+        b = Series(nvars, cap, inside)
+    elif kind == "negated":
+        b = -a
+    elif kind == "zero":
+        b = Series.zero(nvars, cap)
+    for operand in (a, b):
+        if not operand.is_zero and draw(st.booleans()):
+            operand._candidate()
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(top_operands(), st.sampled_from((-1, 0, 1, 2, Fraction(-3, 2))))
+def test_a_known_top_is_the_scanned_one(operands, q):
+    # sums, negations and nonzero scalings keep a top only where it is the
+    # candidate; nothing else derives one
+    a, b = operands
+    for got in (a + b, a - b, b + a, b - a, -a, -b, a.scale(q), b.scale(q)):
+        if got.is_zero:
+            assert got._top is None
+            continue
+        if got._top is not None:
+            assert got._top == got._pack.top(got._terms.keys())
+        assert got._pack.exponent(got._candidate()) == naive_select_candidate(got)
+    for got in (a * b, b * a, a.fold(Partition.of(3, [[1, 3], [2]]))):
+        assert got._top is None
+
+
+def test_tops_of_a_sum_follow_the_rule():
+    # masks differ: the larger mask wins; masks tie: the lexicographically
+    # smaller top, unless it cancels
+    def known(terms):
+        s = series(2, 6, terms)
+        s._candidate()
+        return s
+
+    wide, narrow = known({(1, 1): 1, (2, 0): 1}), known({(3, 0): 2, (0, 0): 1})
+    assert (wide + narrow)._top == (narrow - wide)._top == wide._top
+    low, high = known({(1, 2): 1}), known({(2, 1): 1, (1, 0): 1})
+    assert (low + high)._top == (high + low)._top == low._top
+    assert (low - known({(1, 2): 1, (1, 3): 1}))._top is None
+    assert (low + series(2, 6, {(1, 1): 1}))._top is None  # one top unknown
+    assert (low - low)._top is None and (-low)._top == low.scale(Fraction(1, 3))._top == low._top
 
 
 # -- multiplication --------------------------------------------------------------

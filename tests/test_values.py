@@ -3,6 +3,7 @@
 import copy
 import fractions
 import pickle
+from array import array
 
 import pytest
 
@@ -154,6 +155,31 @@ def test_pvindex_normalizes_and_checks():
 def test_bytes_are_no_node_list(build):
     with pytest.raises(DomainError, match="node list of type (bytes|bytearray) is refused"):
         build()
+
+
+# a memoryview iterates as its exporter's items: bytes as ints, an array as its values
+@pytest.mark.parametrize("build", [
+    lambda: PVIndex(memoryview(b"\x01"), (0,)),
+    lambda: validate_gcm(A2_ROWS).check_nodes(memoryview(b"\x02")),
+    lambda: validate_gcm(A2_ROWS).check_nodes(memoryview(bytearray(b"\x02"))[1:]),
+], ids=["PVIndex", "check_nodes", "check_nodes-bytearray-slice"])
+def test_memoryviews_of_bytes_are_no_node_list(build):
+    with pytest.raises(DomainError, match="node list of type memoryview is refused, "
+                                          "as its bytes would pass for ints"):
+        build()
+
+
+def test_memoryviews_of_int_arrays_are_node_lists():
+    cm = validate_gcm(A2_ROWS)
+    assert cm.check_nodes(memoryview(array("i", [2, 1]))) == cm.check_nodes([1, 2])
+    assert PVIndex(memoryview(array("i", [1])), (0,)) == PVIndex((1,), (0,))
+
+
+def test_a_released_memoryview_is_no_node_list():
+    view = memoryview(array("i", [1]))
+    view.release()
+    with pytest.raises(DomainError, match="node list of type memoryview is not iterable"):
+        validate_gcm(A2_ROWS).check_nodes(view)
 
 
 # terms that are not pairs ended in ValueError from unpacking, and orbit_terms
