@@ -5,6 +5,15 @@ or ``-`` for stdin).  Exit codes: 0 success, 1 domain error, 2 malformed
 input (schema errors carry a JSON-pointer path).  Output is byte-identical
 across runs.
 
+The command line is read without argparse, as argparse read these five
+options: unique prefixes (``--deg``), ``--opt=value``, options before or
+after the command, the last of a repeated option wins, and ``-1`` is a
+value.  Only ``--opt=--``, which argparse turned into an empty list, is
+refused.  ``-h`` prints a fixed help text, whatever the terminal's width; a
+usage error prints the usage line and ``kmf: error: ...`` on stderr and
+exits 2.  Output that cannot be written (a closed stdout, a broken pipe, a
+full disk) ends with exit 1 and one line on stderr.
+
 Node references in input accept either labels (strings) or 1-based integer
 positions; all output uses labels.  Rationals are serialized as strings
 "p/q" so no JSON reader loses exactness.
@@ -19,7 +28,6 @@ same folded computation.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -367,20 +375,119 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kmf",
-        description="Characters and unique factorization for parabolic Verma "
-                    "modules over symmetrizable Kac-Moody algebras.")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--input", default=None,
-                        help="JSON input file, or '-' for stdin")
-    parser.add_argument("--output", choices=("json", "text"), default="json")
-    parser.add_argument("--degree", type=int, default=None,
-                        help="override the payload's truncation degree")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for the selftest random suite")
-    return parser
+# -- the command line -------------------------------------------------------------
+
+# What argparse printed for these options at 80 columns, fixed so that the
+# help does not depend on the terminal.
+_USAGE = """\
+usage: kmf [-h] [--input INPUT] [--output {json,text}] [--degree DEGREE]
+           [--seed SEED]
+           {character,factor,factor-folded,leading-coeff,lean-lifts,logseries,multiplicities,numerator,orbits,selftest,transversal,validate,verify}
+"""
+_HELP = _USAGE + """
+Characters and unique factorization for parabolic Verma modules over
+symmetrizable Kac-Moody algebras.
+
+positional arguments:
+  {character,factor,factor-folded,leading-coeff,lean-lifts,logseries,multiplicities,numerator,orbits,selftest,transversal,validate,verify}
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         JSON input file, or '-' for stdin
+  --output {json,text}
+  --degree DEGREE       override the payload's truncation degree
+  --seed SEED           seed for the selftest random suite
+"""
+
+_OPTIONS = ("-h", "--help", "--input", "--output", "--degree", "--seed")
+_CHOICES = {"command": _COMMANDS, "output": ("json", "text")}
+
+
+class _Args:
+    """The values ``main`` reads from the command line."""
+    command = input = degree = seed = None
+    output = "json"
+
+
+def _usage_error(message: str):
+    try:
+        sys.stderr.write(f"{_USAGE}kmf: error: {message}\n")
+    except (AttributeError, OSError):  # no stderr to write to: exit 2 all the same
+        pass
+    raise SystemExit(2)
+
+
+def _option(token: str):
+    """``(option, its '=' value or None)`` for a token that argparse took for
+    an option, ``(None, None)`` if the option is unknown; None for a positional."""
+    head, eq, value = token.partition("=")
+    if head in _OPTIONS:
+        return head, value if eq else None
+    if token[:2] == "--":
+        matches = [option for option in _OPTIONS if option.startswith(head)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[:2] == "-h":
+        return "-h", token[2:]
+    elif token[:1] != "-" or token == "-":
+        return None
+    # a negative number (argparse's r'^-\d+$|^-\d*\.\d+$') or a token with a
+    # space is a positional
+    body = token[1:].removesuffix("\n")
+    if " " in token or body.replace(".", "", 1).isdecimal() and body[-1] != ".":
+        return None
+    return None, None
+
+
+def _parse_args(argv) -> _Args:
+    """``argv`` read as argparse read it: unique prefixes of options,
+    ``--opt=value``, options anywhere, the last of repeated options wins,
+    ``-h`` acts in its turn, and unknown tokens are refused at the end."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    # after the first '--' every token is a positional
+    kinds = [*map(_option, argv[:end]), ("--", None), *[None] * (len(argv) - end - 1)]
+    args, extras, i = _Args(), [], 0
+    while i < len(argv):
+        token = argv[i]
+        name, value = kinds[i] or ("command", token)
+        i += 1
+        if name == "--" and args.command is None:  # a '--' before the command
+            continue
+        if name in ("-h", "--help"):
+            if name == "-h" and value:  # '-hh' is -h given twice
+                value = value.lstrip("h") or None
+            if value is None:
+                raise SystemExit(0 if _write(_HELP) else 1)
+            _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+        if name in (None, "--") or name == "command" and args.command is not None:
+            extras.append(token)
+            continue
+        if value is None:
+            if i == len(argv) or kinds[i] is not None:
+                _usage_error(f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        dest = name.lstrip("-")
+        if value == "--" and dest != "command":  # argparse stored [] for '--opt=--'
+            value = []
+        elif dest in ("degree", "seed"):
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+        elif value not in _CHOICES.get(dest, (value,)):
+            choices = ", ".join(map(repr, sorted(_CHOICES[dest])))
+            _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        setattr(args, dest, value)
+        i += dest == "command" and i == end  # a '--' just after the command goes with it
+    if args.command is None:
+        _usage_error("the following arguments are required: command")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    if [] in vars(args).values():
+        _usage_error("'--' is no option's value")
+    return args
 
 
 def _unique_keys(pairs) -> dict:
@@ -433,28 +540,43 @@ def _load_payload(args):
     return _object(payload, "/")
 
 
-def _emit(doc, mode: str, text: str | None) -> None:
-    if mode == "text" and text is not None:
-        sys.stdout.write(text + "\n")
+def _write(text: str) -> bool:
+    """Write and flush ``text`` to stdout; if that fails, say why on stderr."""
+    if sys.stdout is None:
+        reason = "stdout is closed"
     else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return True
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+            if isinstance(exc, BrokenPipeError):
+                # the interpreter flushes stdout again at exit: send that to devnull
+                import os
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.stderr.write(f"kmf: cannot write output: {reason}\n")
+    return False
+
+
+def _emit(doc, mode: str, text: str | None) -> bool:
+    if mode != "text" or text is None:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _write(text + "\n")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         payload = _load_payload(args)
         doc, text = _COMMANDS[args.command](args, payload)
+        code = 0
     except SchemaError as exc:
-        _emit({"error": {"type": "SchemaError", "pointer": exc.pointer,
-                         "message": exc.reason}}, "json", None)
-        return 2
+        doc, text, code = {"error": {"type": "SchemaError", "pointer": exc.pointer,
+                                     "message": exc.reason}}, None, 2
     except DomainError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              "json", None)
-        return 1
-    _emit(doc, args.output, text)
-    return 0
+        doc, text, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, None, 1
+    return code if _emit(doc, args.output, text) else 1
 
 
 if __name__ == "__main__":

@@ -17,12 +17,14 @@ FoldContext's lift data.
 
 from __future__ import annotations
 
+import argparse
 import math
 from collections import deque
 from fractions import Fraction
 from itertools import product
 
 from kmfactor.cartan import connected_components
+from kmfactor.cli import _COMMANDS
 from kmfactor.errors import (
     DisconnectedCandidateSupport,
     DivisibilityFailure,
@@ -462,3 +464,21 @@ def brute_automorphisms(cm) -> list[tuple[int, ...]]:
 
     extend([])
     return out
+
+
+# -- the command line -----------------------------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kmf",
+        description="Characters and unique factorization for parabolic Verma "
+                    "modules over symmetrizable Kac-Moody algebras.")
+    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("--input", default=None,
+                        help="JSON input file, or '-' for stdin")
+    parser.add_argument("--output", choices=("json", "text"), default="json")
+    parser.add_argument("--degree", type=int, default=None,
+                        help="override the payload's truncation degree")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for the selftest random suite")
+    return parser

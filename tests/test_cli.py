@@ -5,15 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from catalog import MATRICES
 from kmfactor import (FoldContext, Partition, PVIndex, Series, cli, factorizer,
                       log_numerator, orbit_partition, selftest, validate_gcm)
 from kmfactor import series as series_module
 from kmfactor.cli import _COMMANDS, main
+import oracles
 from kmfactor.errors import DomainError
 from test_folding import FIGURE1_CLASSES, FIGURE2_CLASSES, figure1, figure2
 
@@ -424,14 +426,15 @@ def test_label_errors_name_the_label(capsys, tmp_path):
 
 def test_import_footprint():
     """``import kmfactor.cli`` loads neither ``dataclasses`` (with ``inspect``)
-    nor the selftest module, which only ``kmf selftest`` needs."""
+    nor the selftest module, which only ``kmf selftest`` needs, nor
+    ``argparse`` with ``gettext`` and ``locale``."""
     src = os.path.dirname(os.path.dirname(sys.modules["kmfactor"].__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", "import sys, kmfactor.cli; print(' '.join(sys.modules))"],
         env=env, capture_output=True, text=True, check=True).stdout.split()
     assert "kmfactor.cli" in out
-    for name in ("dataclasses", "inspect", "kmfactor.selftest"):
+    for name in ("dataclasses", "inspect", "kmfactor.selftest", "argparse", "gettext", "locale"):
         assert name not in out
 
 
@@ -733,3 +736,108 @@ def test_cli_fuzz_exits_cleanly(command, payload, degree, seed):
         assert error is None
     else:
         assert (error["type"] == "SchemaError") == (code == 2)
+
+
+# -- the command line ----------------------------------------------------------------
+
+# kmf's own tokens, their prefixes and '=' forms, and tokens that argparse
+# reads in special ways: '--', negative numbers, spaces, unknown options
+ARGV_TOKENS = [*sorted(_COMMANDS), "bogus", "json", "3",
+               "--input", "--in", "--i", "--input=-", "--in=x.json", "--input=--",
+               "--output", "--out", "--output=text", "--o=json", "--output=xml",
+               "--degree", "--deg", "--degree=3", "--d=-1", "--degree=x",
+               "--seed", "--s", "--seed=7", "--se=",
+               "-h", "--help", "--he", "-hh", "--", "-", "-1", "-1.5", " 7", "1_0", "a b",
+               "-a b", "-x", "--bogus", "--=x", "-hx", "--help=x"]
+PARSED = ("command", "input", "output", "degree", "seed")
+KMF = "import sys; from kmfactor.cli import main; sys.exit(main())"
+
+
+def parse_outcome(parse, argv):
+    """(exit code, stdout, stderr or the parsed values) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(list(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    return 0, out.getvalue(), tuple(getattr(args, name) for name in PARSED)
+
+
+def argparse_outcome(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        return parse_outcome(oracles.build_parser().parse_args, argv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+@example(["--in", "a.json", "--deg", "-1", "validate"])  # prefixes, a negative value
+@example(["--seed=1", "selftest", "--seed", "2"])  # the last of repeated options wins
+@example(["validate", "--help=x"])  # refused, as is -hx
+@example(["-h", "--=x"])  # an ambiguous option is refused before -h acts
+@example(["validate", "extra", "--help"])  # extra tokens are refused at the end only
+@example(["validate", "--input=a", "--"])  # '--' after the command is refused
+@example(["--input=a", "--", "validate", "--"])
+@example(["--input=--", "validate"])  # argparse stored [] as the input
+@example(["--input=--", "--input=a", "validate"])
+def test_argv_is_read_as_argparse_read_it(argv):
+    expected = argparse_outcome(argv)
+    got = parse_outcome(cli._parse_args, argv)
+    if isinstance(expected[2], tuple) and [] in expected[2]:
+        # argparse stored [] for '--opt=--', which no command reads: refused
+        assert got[:2] == (2, "") and got[2].endswith("kmf: error: '--' is no option's value\n")
+    else:
+        assert got == expected
+
+
+def test_help_is_fixed_at_80_columns():
+    """``kmf --help`` prints argparse's 80-column help whatever $COLUMNS says."""
+    expected = argparse_outcome(["--help"])
+    assert expected[0] == 0
+    src = os.path.dirname(os.path.dirname(sys.modules["kmfactor"].__file__))
+    for columns in ("40", "80", "200"):
+        done = subprocess.run([sys.executable, "-S", "-c", KMF, "--help"],
+                              env={**os.environ, "PYTHONPATH": src, "COLUMNS": columns},
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+@pytest.mark.parametrize("args", [["validate", "--input", "-"], ["--help"]])
+@pytest.mark.parametrize("sink", ["full", "closed pipe"])
+def test_a_failed_write_ends_cleanly(args, sink):
+    """Output that cannot be written ends kmf with exit 1 and one line on
+    stderr, for /dev/full and for a pipe whose reader has gone."""
+    if sink == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    src = os.path.dirname(os.path.dirname(sys.modules["kmfactor"].__file__))
+    if sink == "full":
+        stdout, reason = open("/dev/full", "w"), "No space left on device"
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        stdout, reason = os.fdopen(write, "w"), "Broken pipe"
+    with stdout:
+        done = subprocess.run([sys.executable, "-S", "-c", KMF, *args],
+                              input=json.dumps({"gcm": A2}), stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (1, f"kmf: cannot write output: {reason}\n")
+
+
+def test_a_usage_error_exits_2_when_stderr_cannot_be_written():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    src = os.path.dirname(os.path.dirname(sys.modules["kmfactor"].__file__))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-S", "-c", KMF, "bogus"], stderr=full,
+                              stdout=subprocess.PIPE, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
+def test_no_stdout_ends_cleanly(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"gcm": A2}))
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["validate", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "kmf: cannot write output: stdout is closed\n"

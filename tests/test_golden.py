@@ -55,8 +55,9 @@ FOOTPRINT = {
 }
 
 # One kmf process that, after its command, writes to stderr the kmfactor
-# modules whose namespace holds their own definitions; the namespace is read
-# past the lazy module's attribute hook, so reading it executes nothing.
+# modules whose namespace holds their own definitions, and which of argparse,
+# gettext and locale it loaded; the namespace is read past the lazy module's
+# attribute hook, so reading it executes nothing.
 _KMF_FOOTPRINT = """
 import sys, types
 from kmfactor.cli import main
@@ -67,6 +68,7 @@ executed = [name for name, module in list(sys.modules.items())
             and any(getattr(value, "__module__", None) == name
                     for value in object.__getattribute__(module, "__dict__").values()
                     if not isinstance(value, types.ModuleType))]
+executed += [name for name in ("argparse", "gettext", "locale") if name in sys.modules]
 sys.stderr.write(" ".join(sorted(executed)))
 sys.exit(code)
 """
@@ -75,7 +77,8 @@ sys.exit(code)
 @pytest.mark.parametrize("case", CASES, ids=[case["key"] for case in CASES])
 def test_command_footprint(case):
     """Each recorded case, in a fresh process, executes only the modules its
-    command calls into, and prints what it recorded."""
+    command calls into, loads no argparse, gettext or locale, and prints what
+    it recorded."""
     src = os.path.dirname(os.path.dirname(sys.modules["kmfactor"].__file__))
     # -S: kmfactor needs nothing from site-packages, and 90 processes start faster
     done = subprocess.run([sys.executable, "-S", "-c", _KMF_FOOTPRINT, *case["args"]],
