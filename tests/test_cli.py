@@ -10,12 +10,12 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import oracles
 from catalog import MATRICES
 from kmfactor import (FoldContext, Partition, PVIndex, Series, cli, factorizer,
                       log_numerator, orbit_partition, selftest, validate_gcm)
 from kmfactor import series as series_module
 from kmfactor.cli import _COMMANDS, main
-import oracles
 from kmfactor.errors import DomainError
 from test_folding import FIGURE1_CLASSES, FIGURE2_CLASSES, figure1, figure2
 
